@@ -1,11 +1,11 @@
 """Harmonic analysis on tube domains over polyhedral cones.
 
-Subpackages by concern: cone geometry, periodic grid transforms,
-iterated Poisson operators, holomorphic spectral test functions,
-multi-parameter maximal/square operators, the 1-d Hilbert-space-valued
-reconstruction machinery, and the verification harness.
+Modules by concern: cone geometry (`cone`), periodic grid transforms and
+the TGF container (`grid`), iterated Poisson fields over a t-lattice
+(`poisson`), and holomorphic spectral test functions that serve as exact
+oracles for them (`spectral`).
 """
 
 __version__ = "0.1.0"
 
-from . import cone, grid, poisson, spectral, operators, wavelet, harness  # noqa: F401
+from . import cone, grid, poisson, spectral  # noqa: F401

@@ -220,33 +220,36 @@ def dual_rays(cone: PolyhedralCone) -> DualCone:
 def zonotope_support(cone: PolyhedralCone, radii) -> np.ndarray:
     """Support values h(nu) = sum_mu u_mu |nu . e_mu| per facet normal."""
     radii = np.asarray(radii, dtype=float)
+    if radii.shape != (cone.m,):
+        raise LengthMismatch(f"expected {cone.m} radii, got {radii.shape}")
     normals = cone.facet_normals()
     return np.abs(normals @ cone.generators.T) @ radii
+
+
+def _member_bound(cone: PolyhedralCone, radii) -> np.ndarray:
+    """Support values relaxed by the membership margin: the open
+    zonotope is tested as a closed one plus MEMBER_MARGIN + 1e-10 h(nu)
+    (boundary points are measure zero for every quadrature downstream)."""
+    support = zonotope_support(cone, radii)
+    return support + (MEMBER_MARGIN + 1e-10 * support)
 
 
 def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> bool:
     """Membership of x' in the twisted rectangle R(x, beta*t).
 
-    Decided by the exact facet test |nu.(x'-x)| <= h(nu), with the open
-    set relaxed to a closed one plus a small margin (boundary points are
-    measure zero for every quadrature downstream).
+    Decided by the exact facet test |nu.(x'-x)| <= h(nu), relaxed as in
+    _member_bound.
     """
-    if query.t.shape != (cone.m,):
-        raise LengthMismatch(f"expected {cone.m} radii, got {query.t.shape}")
     b = np.asarray(xp, dtype=float) - query.x
-    normals = cone.facet_normals()
-    support = zonotope_support(cone, query.beta * query.t)
-    margin = MEMBER_MARGIN + 1e-10 * support
-    return bool(np.all(np.abs(normals @ b) <= support + margin))
+    bound = _member_bound(cone, query.beta * query.t)
+    return bool(np.all(np.abs(cone.facet_normals() @ b) <= bound))
 
 
 def rect_contains_many(cone: PolyhedralCone, radii, offsets) -> np.ndarray:
     """Vectorized membership of offset rows in R(0, radii)."""
     offsets = np.asarray(offsets, dtype=float)
-    normals = cone.facet_normals()
-    support = zonotope_support(cone, radii)
-    margin = MEMBER_MARGIN + 1e-10 * support
-    return np.all(np.abs(offsets @ normals.T) <= support + margin, axis=-1)
+    bound = _member_bound(cone, radii)
+    return np.all(np.abs(offsets @ cone.facet_normals().T) <= bound, axis=-1)
 
 
 def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
@@ -257,20 +260,18 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
     for s in [lo, hi]; lo > hi marks an empty row.
     """
     transverse = np.asarray(transverse, dtype=float)
-    normals = cone.facet_normals()
-    support = zonotope_support(cone, radii)
-    margin = MEMBER_MARGIN + 1e-10 * support
+    bound = _member_bound(cone, radii)
     lo = np.full(transverse.shape[0], -np.inf)
     hi = np.full(transverse.shape[0], np.inf)
-    for nu, h, mg in zip(normals, support, margin):
+    for nu, b in zip(cone.facet_normals(), bound):
         proj = transverse @ nu
         a = nu[axis]
         if abs(a) < 1e-14:
-            bad = np.abs(proj) > h + mg
+            bad = np.abs(proj) > b
             lo[bad], hi[bad] = 1.0, 0.0
             continue
-        upper = (h + mg - proj) / a
-        lower = (-h - mg - proj) / a
+        upper = (b - proj) / a
+        lower = (-b - proj) / a
         if a < 0:
             upper, lower = lower, upper
         hi = np.minimum(hi, upper)
@@ -318,11 +319,6 @@ def largest_subset(cone: PolyhedralCone, t) -> tuple:
     t = np.asarray(t, dtype=float)
     order = np.lexsort((np.arange(cone.m), -t))
     return tuple(sorted(int(i) for i in order[: cone.n]))
-
-
-def interior_point(cone: PolyhedralCone) -> np.ndarray:
-    """A canonical strictly interior direction: the generator mean."""
-    return cone.generators.mean(axis=0)
 
 
 def cauchy_szego(cone: PolyhedralCone, z) -> complex:

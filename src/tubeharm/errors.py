@@ -25,10 +25,6 @@ class UnsupportedDimension(TubeharmError):
     """Operation only implemented for small ambient dimensions."""
 
 
-class SolverStall(TubeharmError):
-    """A feasibility solve exceeded its iteration cap (ill-conditioning)."""
-
-
 class SingularSubset(TubeharmError):
     """The selected generator subset is singular."""
 
@@ -55,23 +51,3 @@ class SupportEscapesDualCone(TubeharmError):
 
 class BoundaryY(TubeharmError):
     """Imaginary part must lie strictly inside the cone."""
-
-
-class EmptyRegion(TubeharmError):
-    """No admissible (x', t) pairs; lattice and grid are mismatched."""
-
-
-class NormalizationDegenerate(TubeharmError):
-    """Calderon integrand is numerically zero; bad polynomial seed."""
-
-
-class RangeTooNarrow(TubeharmError):
-    """Dyadic scale range does not cover the energy of the input."""
-
-
-class ConfigInvalid(TubeharmError):
-    """Experiment or CLI configuration is malformed."""
-
-
-class BudgetExceeded(TubeharmError):
-    """Experiment exceeded its configured resource budget."""

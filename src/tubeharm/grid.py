@@ -86,12 +86,6 @@ class GridFunction:
         return GridFunction(self.spec, self.values.copy(), self.domain_tag)
 
 
-def from_callable(spec: GridSpec, fn) -> GridFunction:
-    """Sample fn(x1, ..., xn) on the grid."""
-    return GridFunction(spec, np.asarray(fn(*spec.coords()), dtype=np.complex128)
-                        * np.ones(spec.sizes))
-
-
 def fourier_forward(f: GridFunction) -> GridFunction:
     if f.domain_tag != DOMAIN_SPACE:
         raise ShapeMismatch("fourier_forward expects a spatial function")
@@ -203,38 +197,55 @@ _MAGIC_SCALAR = b"TGF1"
 _MAGIC_CHANNELS = b"TGFH"
 _TAG_CODE = {DOMAIN_SPACE: 0, DOMAIN_FREQ: 1}
 _TAG_NAME = {0: DOMAIN_SPACE, 1: DOMAIN_FREQ}
+_PAYLOAD = "<c16"  # little-endian (re, im) f64 pairs
+
+
+def _write_header(fh, magic: bytes, spec: GridSpec, domain_tag: str) -> None:
+    """magic, u32 n, u32 sizes, f64 box_half per axis, u8 domain tag."""
+    fh.write(magic)
+    fh.write(struct.pack(f"<I{spec.n}I{spec.n}dB", spec.n, *spec.sizes,
+                         *([spec.box_half] * spec.n), _TAG_CODE[domain_tag]))
+
+
+def _read_exact(fh, size: int, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise BadShape(f"truncated {what}: expected {size} bytes, got {len(data)}")
+    return data
+
+
+def _read_header(fh, magic: bytes):
+    """Inverse of _write_header: returns (spec, domain tag)."""
+    found = fh.read(4)
+    if found != magic:
+        raise BadShape(f"not a {magic.decode()} file: magic {found!r}")
+    (n,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
+    fmt = f"<{n}I{n}dB"
+    fields = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "header"))
+    sizes, halves, tag = fields[:n], fields[n:2 * n], fields[-1]
+    if tag not in _TAG_NAME:
+        raise BadShape(f"unknown domain tag code {tag}")
+    return GridSpec(n=n, sizes=tuple(sizes), box_half=halves[0]), _TAG_NAME[tag]
+
+
+def _read_payload(fh, shape) -> np.ndarray:
+    count = int(np.prod(shape))
+    data = _read_exact(fh, 16 * count, "payload")
+    return np.frombuffer(data, dtype=_PAYLOAD).astype(np.complex128).reshape(shape)
 
 
 def write_tgf(path, f: GridFunction) -> None:
-    """Scalar grid container: magic, u32 n, u32 sizes, f64 box_half per
-    axis, u8 domain tag, then little-endian (re, im) f64 pairs row-major."""
-    spec = f.spec
+    """Scalar grid container: header, then the values row-major as
+    little-endian (re, im) f64 pairs."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC_SCALAR)
-        fh.write(struct.pack("<I", spec.n))
-        fh.write(struct.pack(f"<{spec.n}I", *spec.sizes))
-        fh.write(struct.pack(f"<{spec.n}d", *([spec.box_half] * spec.n)))
-        fh.write(struct.pack("<B", _TAG_CODE[f.domain_tag]))
-        inter = np.empty(f.values.size * 2, dtype="<f8")
-        inter[0::2] = f.values.real.ravel()
-        inter[1::2] = f.values.imag.ravel()
-        fh.write(inter.tobytes())
+        _write_header(fh, _MAGIC_SCALAR, f.spec, f.domain_tag)
+        fh.write(f.values.astype(_PAYLOAD).tobytes())
 
 
 def read_tgf(path) -> GridFunction:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC_SCALAR:
-            raise BadShape(f"not a TGF1 file: magic {magic!r}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        sizes = struct.unpack(f"<{n}I", fh.read(4 * n))
-        halves = struct.unpack(f"<{n}d", fh.read(8 * n))
-        (tag,) = struct.unpack("<B", fh.read(1))
-        spec = GridSpec(n=n, sizes=tuple(sizes), box_half=halves[0])
-        count = int(np.prod(sizes))
-        inter = np.frombuffer(fh.read(16 * count), dtype="<f8")
-        vals = (inter[0::2] + 1j * inter[1::2]).reshape(sizes)
-        return GridFunction(spec, vals, _TAG_NAME[tag])
+        spec, tag = _read_header(fh, _MAGIC_SCALAR)
+        return GridFunction(spec, _read_payload(fh, spec.sizes), tag)
 
 
 def write_tgf_channels(path, spec: GridSpec, values: np.ndarray,
@@ -243,36 +254,17 @@ def write_tgf_channels(path, spec: GridSpec, values: np.ndarray,
     data stored channel-major."""
     if spec.n != 1 or values.ndim != 2 or values.shape[1] != spec.sizes[0]:
         raise BadShape("expected (channels, size) values on a 1-d grid")
-    channels = values.shape[0]
     with open(path, "wb") as fh:
-        fh.write(_MAGIC_CHANNELS)
-        fh.write(struct.pack("<I", spec.n))
-        fh.write(struct.pack(f"<{spec.n}I", *spec.sizes))
-        fh.write(struct.pack(f"<{spec.n}d", spec.box_half))
-        fh.write(struct.pack("<B", _TAG_CODE[domain_tag]))
-        fh.write(struct.pack("<I", channels))
-        vals = np.asarray(values, dtype=np.complex128)
-        inter = np.empty(vals.size * 2, dtype="<f8")
-        inter[0::2] = vals.real.ravel()
-        inter[1::2] = vals.imag.ravel()
-        fh.write(inter.tobytes())
+        _write_header(fh, _MAGIC_CHANNELS, spec, domain_tag)
+        fh.write(struct.pack("<I", values.shape[0]))
+        fh.write(np.asarray(values).astype(_PAYLOAD).tobytes())
 
 
 def read_tgf_channels(path):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC_CHANNELS:
-            raise BadShape(f"not a multichannel grid file: magic {magic!r}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        sizes = struct.unpack(f"<{n}I", fh.read(4 * n))
-        halves = struct.unpack(f"<{n}d", fh.read(8 * n))
-        (tag,) = struct.unpack("<B", fh.read(1))
-        (channels,) = struct.unpack("<I", fh.read(4))
-        spec = GridSpec(n=n, sizes=tuple(sizes), box_half=halves[0])
-        count = channels * int(np.prod(sizes))
-        inter = np.frombuffer(fh.read(16 * count), dtype="<f8")
-        vals = (inter[0::2] + 1j * inter[1::2]).reshape(channels, sizes[0])
-        return spec, vals, _TAG_NAME[tag]
+        spec, tag = _read_header(fh, _MAGIC_CHANNELS)
+        (channels,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
+        return spec, _read_payload(fh, (channels, spec.sizes[0])), tag
 
 
 def write_csv(path, f: GridFunction) -> None:

@@ -90,10 +90,6 @@ class TLattice:
             out[row] = vals[list(idx)]
         return out
 
-    def weight(self, idx) -> float:
-        w = self.axis_weights
-        return float(np.prod([w[k] for k in idx]))
-
     def weights(self) -> np.ndarray:
         w = self.axis_weights
         return np.array([np.prod(w[list(idx)]) for idx in self.indices()])
@@ -115,6 +111,30 @@ def _axis_dots(spec: gr.GridSpec, cone: PolyhedralCone) -> list:
     ]
 
 
+def poisson_decay(dots, t) -> np.ndarray:
+    """Poisson symbol prod_mu exp(-2 pi t_mu |e_mu . xi|).
+
+    `dots[mu]` holds e_mu . xi over any set of frequencies xi: the
+    reciprocal lattice (`_axis_dots`) or the nodes of a spectrum inside
+    the dual cone, where |e_mu . xi| = e_mu . xi."""
+    return np.exp(-2.0 * np.pi * sum(t_mu * np.abs(d) for t_mu, d in zip(t, dots)))
+
+
+def gradient_factor(dots, selector: dict):
+    """Mixed-gradient symbol: 2 pi i (e_mu . xi) for an X choice and
+    -2 pi |e_mu . xi| for a T choice, multiplied over the selected mu
+    (1 for an empty selector)."""
+    out = 1.0
+    for mu, choice in sorted(selector.items()):
+        if choice == X_CHOICE:
+            out = out * (2j * np.pi * dots[mu])
+        elif choice == T_CHOICE:
+            out = out * (-2.0 * np.pi * np.abs(dots[mu]))
+        else:
+            raise BadShape(f"unknown gradient choice {choice!r}")
+    return out
+
+
 def poisson_multiplier(spec: gr.GridSpec, cone: PolyhedralCone, t,
                        subset=None) -> np.ndarray:
     """Multiplier prod_mu exp(-2 pi t_mu |e_mu . xi|) on the lattice.
@@ -128,27 +148,7 @@ def poisson_multiplier(spec: gr.GridSpec, cone: PolyhedralCone, t,
     if np.any(t <= 0):
         raise NonpositiveT("Poisson scales must be positive")
     dots = _axis_dots(spec, cone)
-    out = np.ones(spec.sizes, dtype=np.complex128)
-    for pos, mu in enumerate(mus):
-        out = out * np.exp(-2.0 * np.pi * t[pos] * np.abs(dots[mu]))
-    return out
-
-
-def gradient_multiplier(spec: gr.GridSpec, cone: PolyhedralCone,
-                        selector: dict) -> np.ndarray:
-    """Factor for the mixed gradient: one X or T choice per selected mu."""
-    if not selector:
-        raise EmptySelector("gradient selector must be nonempty")
-    dots = _axis_dots(spec, cone)
-    out = np.ones(spec.sizes, dtype=np.complex128)
-    for mu, choice in sorted(selector.items()):
-        if choice == X_CHOICE:
-            out = out * (2j * np.pi * dots[mu])
-        elif choice == T_CHOICE:
-            out = out * (-2.0 * np.pi * np.abs(dots[mu]))
-        else:
-            raise BadShape(f"unknown gradient choice {choice!r}")
-    return out
+    return poisson_decay([dots[mu] for mu in mus], t)
 
 
 def directional_poisson(f: gr.GridFunction, cone: PolyhedralCone, mu: int,
@@ -170,8 +170,10 @@ def iterated_poisson(f: gr.GridFunction, cone: PolyhedralCone,
 def mixed_gradient(f: gr.GridFunction, cone: PolyhedralCone, t,
                    selector: dict) -> gr.GridFunction:
     """Selected mixed derivative of the full iterated Poisson field."""
-    mult = poisson_multiplier(f.spec, cone, t) * gradient_multiplier(
-        f.spec, cone, selector
+    if not selector:
+        raise EmptySelector("gradient selector must be nonempty")
+    mult = poisson_multiplier(f.spec, cone, t) * gradient_factor(
+        _axis_dots(f.spec, cone), selector
     )
     return gr.apply_multiplier(f, mult)
 
@@ -197,6 +199,31 @@ class OperatorField:
         return gr.GridFunction(self.spec, self.values[row])
 
 
+def gradient_selectors(mus) -> list:
+    """All 2^|mus| selectors with one X or T choice per parameter."""
+    return [dict(zip(mus, choices))
+            for choices in itertools.product((X_CHOICE, T_CHOICE), repeat=len(mus))]
+
+
+def _node_components(f: gr.GridFunction, cone: PolyhedralCone,
+                     lattice: TLattice, mus, selectors):
+    """Per lattice node in row order, yield the inverse transforms (grid
+    functions) of f-hat times the decay over `mus` and each selector's
+    factor, lazily.
+
+    One forward transform per call, the factor once per selector and the
+    decay once per node.  A node's components must be consumed before
+    the next node is drawn."""
+    fhat = gr.fourier_forward(f)
+    dots = _axis_dots(f.spec, cone)
+    weighted = [fhat.values * gradient_factor(dots, sel) for sel in selectors]
+    node_dots = [dots[mu] for mu in mus]
+    for t in lattice.nodes():
+        decay = poisson_decay(node_dots, t)
+        yield (gr.fourier_inverse(gr.GridFunction(f.spec, w * decay, gr.DOMAIN_FREQ))
+               for w in weighted)
+
+
 def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
                 selector: dict | None = None,
                 budget: int = DEFAULT_BUDGET) -> OperatorField:
@@ -209,22 +236,10 @@ def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
             f"{lattice.node_count} nodes x {f.spec.npoints} points "
             f"exceed budget {budget}"
         )
-    fhat = gr.fourier_forward(f)
-    dots = _axis_dots(f.spec, cone)
-    decays = [
-        [np.exp(-2.0 * np.pi * t * np.abs(dots[mu])) for t in lattice.axis_values]
-        for mu in range(cone.m)
-    ]
-    gmult = gradient_multiplier(f.spec, cone, selector) if selector else None
     out = np.empty((lattice.node_count, *f.spec.sizes), dtype=np.complex128)
-    for row, idx in enumerate(lattice.indices()):
-        mult = fhat.values.copy()
-        for mu, k in enumerate(idx):
-            mult *= decays[mu][k]
-        if gmult is not None:
-            mult *= gmult
-        node_hat = gr.GridFunction(f.spec, mult, gr.DOMAIN_FREQ)
-        out[row] = gr.fourier_inverse(node_hat).values
+    nodes = _node_components(f, cone, lattice, range(cone.m), [selector or {}])
+    for row, (node,) in enumerate(nodes):
+        out[row] = node.values
     return OperatorField(lattice=lattice, spec=f.spec, values=out,
                          selector=dict(selector) if selector else None)
 
@@ -236,7 +251,7 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
 
     This is the scalar integrand of the area and g functions; `subset`
     restricts the convolution, the derivatives and the lattice to those
-    parameters (the full set by default)."""
+    parameters (the full set by default).  The field is real (float64)."""
     mus = list(range(cone.m)) if subset is None else sorted(subset)
     if not mus:
         raise EmptySelector("parameter subset must be nonempty")
@@ -244,32 +259,11 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
         raise LengthMismatch("lattice dimension must match the subset size")
     if lattice.node_count * f.spec.npoints > budget:
         raise OutOfMemoryBudget("field exceeds element budget")
-    fhat = gr.fourier_forward(f)
-    dots = _axis_dots(f.spec, cone)
-    decays = [
-        [np.exp(-2.0 * np.pi * t * np.abs(dots[mu])) for t in lattice.axis_values]
-        for mu in mus
-    ]
-    factors = {
-        mu: {
-            X_CHOICE: 2j * np.pi * dots[mu] * np.ones(f.spec.sizes),
-            T_CHOICE: -2.0 * np.pi * np.abs(dots[mu]) * np.ones(f.spec.sizes),
-        }
-        for mu in mus
-    }
-    out = np.zeros((lattice.node_count, *f.spec.sizes))
-    for row, idx in enumerate(lattice.indices()):
-        base = fhat.values.copy()
-        for pos, k in enumerate(idx):
-            base *= decays[pos][k]
-        for choices in itertools.product((X_CHOICE, T_CHOICE), repeat=len(mus)):
-            mult = base.copy()
-            for mu, choice in zip(mus, choices):
-                mult *= factors[mu][choice]
-            comp = gr.fourier_inverse(gr.GridFunction(f.spec, mult, gr.DOMAIN_FREQ))
-            out[row] += np.abs(comp.values) ** 2
-    return OperatorField(lattice=lattice, spec=f.spec,
-                         values=out.astype(np.complex128))
+    out = np.empty((lattice.node_count, *f.spec.sizes))
+    nodes = _node_components(f, cone, lattice, mus, gradient_selectors(mus))
+    for row, components in enumerate(nodes):
+        out[row] = sum(np.abs(g.values) ** 2 for g in components)
+    return OperatorField(lattice=lattice, spec=f.spec, values=out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ are pure discretization.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as gr
-from .cone import DualCone, PolyhedralCone, project
+from .cone import DualCone, PolyhedralCone
 from .errors import BadShape, LengthMismatch, SupportEscapesDualCone
-from .poisson import OperatorField, TLattice, T_CHOICE, X_CHOICE
+from .poisson import (OperatorField, TLattice, gradient_factor, gradient_selectors,
+                      poisson_decay)
 
 DEFAULT_NODES_PER_AXIS = 24
 
@@ -29,7 +29,6 @@ class SpectralTestFunction:
     nodes: np.ndarray     # (K, n) quadrature points inside the dual cone
     weights: np.ndarray   # (K,) positive
     psi_vals: np.ndarray  # (K,) complex
-    support_check: bool = True
 
     def __post_init__(self):
         self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
@@ -87,7 +86,6 @@ def make_bump_psi(dual: DualCone, center, radius: float, amplitude: float = 1.0,
     keep = psi != 0.0
     return SpectralTestFunction(
         nodes=nodes[keep], weights=weights[keep], psi_vals=psi[keep],
-        support_check=True,
     )
 
 
@@ -100,16 +98,21 @@ def eval_f(stf: SpectralTestFunction, z) -> complex:
     return complex(np.sum(stf.weights * stf.psi_vals * phases))
 
 
-def _grid_eval(spec: gr.GridSpec, nodes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _phases(spec: gr.GridSpec, nodes: np.ndarray) -> list:
+    """Per-axis phase matrices exp(2 pi i x_a xi_{k,a}), one (K, size)
+    matrix per axis."""
+    return [
+        np.exp(2j * np.pi * np.outer(nodes[:, a], spec.axis_coords(a)))
+        for a in range(spec.n)
+    ]
+
+
+def _contract(phases: list, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs_k exp(2 pi i x . xi_k) over the whole grid.
 
-    The tensor structure of the grid turns this into per-axis phase
-    matrices contracted once per call."""
-    n = spec.n
-    phases = [
-        np.exp(2j * np.pi * np.outer(nodes[:, a], spec.axis_coords(a)))
-        for a in range(n)
-    ]
+    The tensor structure of the grid turns this into one contraction of
+    the per-axis phase matrices."""
+    n = len(phases)
     if n == 1:
         return coeffs @ phases[0]
     if n == 2:
@@ -128,7 +131,7 @@ def slice_grid(stf: SpectralTestFunction, spec: gr.GridSpec,
     if y is not None:
         y = np.asarray(y, dtype=float)
         coeffs = coeffs * np.exp(-2.0 * np.pi * (stf.nodes @ y))
-    return gr.GridFunction(spec, _grid_eval(spec, stf.nodes, coeffs))
+    return gr.GridFunction(spec, _contract(_phases(spec, stf.nodes), coeffs))
 
 
 def boundary_grid(stf: SpectralTestFunction, spec: gr.GridSpec) -> gr.GridFunction:
@@ -136,20 +139,30 @@ def boundary_grid(stf: SpectralTestFunction, spec: gr.GridSpec) -> gr.GridFuncti
     return slice_grid(stf, spec, y=None)
 
 
-def _selector_factor(stf: SpectralTestFunction, cone: PolyhedralCone,
-                     selector: dict | None) -> np.ndarray:
-    factor = np.ones(stf.nodes.shape[0], dtype=np.complex128)
-    if not selector:
-        return factor
-    for mu, choice in sorted(selector.items()):
-        d = stf.nodes @ cone.generators[mu]
-        if choice == X_CHOICE:
-            factor = factor * (2j * np.pi * d)
-        elif choice == T_CHOICE:
-            factor = factor * (-2.0 * np.pi * np.abs(d))
-        else:
-            raise BadShape(f"unknown gradient choice {choice!r}")
-    return factor
+def _node_slices(stf: SpectralTestFunction, cone: PolyhedralCone,
+                 lattice: TLattice, spec: gr.GridSpec, selectors):
+    """Per lattice node in row order, yield each selector's mixed
+    derivative of F at x + i project(t) on the grid, lazily.
+
+    The spectrum must lie in the dual cone, where the shared symbol's
+    |e_mu . xi| is e_mu . xi.  The phases are built once per call, the
+    factor once per selector and the decay once per node.  A node's slices
+    must be consumed before the next node is drawn."""
+    if spec.n != stf.n:
+        raise LengthMismatch("grid and spectrum dimensions differ")
+    if lattice.m != cone.m:
+        raise LengthMismatch("lattice parameter count != generator count")
+    dots = cone.generators @ stf.nodes.T  # (m, K): e_mu . xi_k
+    if np.any(dots < 0):
+        raise SupportEscapesDualCone(
+            f"spectral nodes leave the dual cone (min e . xi = {dots.min():.3e})"
+        )
+    phases = _phases(spec, stf.nodes)
+    base = stf.weights * stf.psi_vals
+    coeffs = [base * gradient_factor(dots, sel) for sel in selectors]
+    for t in lattice.nodes():
+        decay = poisson_decay(dots, t)
+        yield (_contract(phases, c * decay) for c in coeffs)
 
 
 def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
@@ -157,18 +170,10 @@ def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
                selector: dict | None = None) -> OperatorField:
     """Evaluate F(x + i project(t)) (or a mixed derivative of it) at
     every grid point and lattice node by direct spectral summation."""
-    base = stf.weights * stf.psi_vals * _selector_factor(stf, cone, selector)
-    dots = [stf.nodes @ cone.generators[mu] for mu in range(cone.m)]
-    decays = [
-        [np.exp(-2.0 * np.pi * t * d) for t in lattice.axis_values]
-        for d in dots
-    ]
     out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
-    for row, idx in enumerate(lattice.indices()):
-        coeffs = base.copy()
-        for mu, k in enumerate(idx):
-            coeffs *= decays[mu][k]
-        out[row] = _grid_eval(spec, stf.nodes, coeffs)
+    nodes = _node_slices(stf, cone, lattice, spec, [selector or {}])
+    for row, (values,) in enumerate(nodes):
+        out[row] = values
     return OperatorField(lattice=lattice, spec=spec, values=out,
                          selector=dict(selector) if selector else None)
 
@@ -176,14 +181,12 @@ def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
 def gradient_magnitude_sq_lift(stf: SpectralTestFunction, cone: PolyhedralCone,
                                lattice: TLattice, spec: gr.GridSpec) -> OperatorField:
     """Spectral-exact |grad_1 ... grad_m F|^2 summed over all 2^m
-    component choices, per lattice node."""
-    out = np.zeros((lattice.node_count, *spec.sizes))
-    for choices in itertools.product((X_CHOICE, T_CHOICE), repeat=cone.m):
-        sel = {mu: c for mu, c in enumerate(choices)}
-        comp = lift_field(stf, cone, lattice, spec, selector=sel)
-        out += np.abs(comp.values) ** 2
-    return OperatorField(lattice=lattice, spec=spec,
-                         values=out.astype(np.complex128))
+    component choices, per lattice node (a float64 field)."""
+    out = np.empty((lattice.node_count, *spec.sizes))
+    nodes = _node_slices(stf, cone, lattice, spec, gradient_selectors(range(cone.m)))
+    for row, slices in enumerate(nodes):
+        out[row] = sum(np.abs(values) ** 2 for values in slices)
+    return OperatorField(lattice=lattice, spec=spec, values=out)
 
 
 def hardy_norm(stf: SpectralTestFunction, cone: PolyhedralCone, p: int,
@@ -194,15 +197,10 @@ def hardy_norm(stf: SpectralTestFunction, cone: PolyhedralCone, p: int,
     Returns (norm, t_at_max)."""
     if p not in (1, 2):
         raise BadShape("p must be 1 or 2")
-    best = -np.inf
-    best_t = None
-    for idx in probe_lattice.indices():
-        t = probe_lattice.node(idx)
-        y = project(cone, t)
-        val = gr.lp_norm(slice_grid(stf, spec, y=y), p)
-        if val > best:
-            best, best_t = val, t
-    return best, best_t
+    norms = [gr.lp_norm(gr.GridFunction(spec, values), p)
+             for (values,) in _node_slices(stf, cone, probe_lattice, spec, [{}])]
+    best = int(np.argmax(norms))
+    return norms[best], probe_lattice.nodes()[best]
 
 
 def write_stf(path, stf: SpectralTestFunction) -> None:

@@ -1,4 +1,4 @@
-"""Deterministic accumulation and seeding helpers."""
+"""Deterministic accumulation."""
 
 from __future__ import annotations
 
@@ -24,36 +24,3 @@ def kahan_sum(values) -> float:
         comp = (t - total) - y
         total = t
     return total
-
-
-def kahan_sum_complex(values) -> complex:
-    flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
-    return complex(kahan_sum(flat.real), kahan_sum(flat.imag))
-
-
-def splitmix64(seed: int):
-    """SplitMix-style 64-bit stream; yields one value per call."""
-    state = seed & 0xFFFFFFFFFFFFFFFF
-
-    def _next() -> int:
-        nonlocal state
-        state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        return z ^ (z >> 31)
-
-    return _next
-
-
-def rng_for(seed: int, purpose: str) -> np.random.Generator:
-    """Derive a deterministic per-purpose generator from a master seed.
-
-    The purpose string is folded into the SplitMix stream so distinct
-    sub-experiments draw independent, reproducible samples.
-    """
-    mix = splitmix64(seed)
-    h = mix()
-    for ch in purpose.encode():
-        h = (h ^ ch) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
-    return np.random.Generator(np.random.PCG64(h))

@@ -176,6 +176,17 @@ class TestRectContains:
             )
 
 
+    @pytest.mark.parametrize("call", [
+        lambda cone, r: cg.rect_contains(cone, cg.TwistedRectangleQuery(np.zeros(2), r),
+                                         np.zeros(2)),
+        lambda cone, r: cg.rect_contains_many(cone, r, np.zeros((4, 2))),
+        lambda cone, r: cg.zonotope_axis_intervals(cone, r, 0, np.zeros((4, 2))),
+    ], ids=["scalar", "many", "intervals"])
+    def test_radii_length_mismatch(self, cone_b, call):
+        with pytest.raises(LengthMismatch, match="expected 3 radii"):
+            call(cone_b, np.ones(2))
+
+
 class TestParallelohedron:
     def test_axis_matches_rect(self, axis_cone):
         rng = np.random.default_rng(11)

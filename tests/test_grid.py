@@ -193,6 +193,54 @@ class TestIO:
         assert int.from_bytes(raw[4:8], "little") == 1
         assert int.from_bytes(raw[8:12], "little") == 256
 
+    def test_payload_is_interleaved_f64_pairs(self, tmp_path, spec1d):
+        f = random_grid(spec1d, 10)
+        path = tmp_path / "f.tgf"
+        gr.write_tgf(path, f)
+        pairs = np.empty(2 * spec1d.sizes[0], dtype="<f8")
+        pairs[0::2], pairs[1::2] = f.values.real, f.values.imag
+        assert path.read_bytes()[-pairs.nbytes:] == pairs.tobytes()
+
+    def test_channel_header_extends_scalar_header(self, tmp_path, spec1d):
+        vals = np.zeros((2, spec1d.sizes[0]), dtype=complex)
+        gr.write_tgf(tmp_path / "f.tgf", gr.GridFunction(spec1d, vals[0]))
+        gr.write_tgf_channels(tmp_path / "h.tgf", spec1d, vals)
+        scalar = (tmp_path / "f.tgf").read_bytes()
+        channels = (tmp_path / "h.tgf").read_bytes()
+        header = len(scalar) - 16 * spec1d.sizes[0]
+        assert channels[:4] == b"TGFH"
+        assert channels[4:header] == scalar[4:header]
+        assert int.from_bytes(channels[header:header + 4], "little") == 2
+
+    @pytest.mark.parametrize("channels", [False, True])
+    def test_truncated_payload(self, tmp_path, spec1d, channels):
+        path = tmp_path / "f.tgf"
+        if channels:
+            gr.write_tgf_channels(path, spec1d, np.zeros((2, spec1d.sizes[0])))
+            expected, read = 2 * 16 * spec1d.sizes[0], gr.read_tgf_channels
+        else:
+            gr.write_tgf(path, random_grid(spec1d, 11))
+            expected, read = 16 * spec1d.sizes[0], gr.read_tgf
+        path.write_bytes(path.read_bytes()[:-5])
+        message = f"expected {expected} bytes, got {expected - 5}"
+        with pytest.raises(BadShape, match=message):
+            read(path)
+
+    @pytest.mark.parametrize("channels", [False, True])
+    def test_unknown_domain_tag(self, tmp_path, spec1d, channels):
+        path = tmp_path / "f.tgf"
+        if channels:
+            gr.write_tgf_channels(path, spec1d, np.zeros((1, spec1d.sizes[0])))
+            read = gr.read_tgf_channels
+        else:
+            gr.write_tgf(path, random_grid(spec1d, 12))
+            read = gr.read_tgf
+        raw = bytearray(path.read_bytes())
+        raw[4 + 4 + 4 + 8] = 7  # magic, n, one size, one box_half, then the tag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BadShape, match="unknown domain tag code 7"):
+            read(path)
+
     def test_channels_round_trip(self, tmp_path, spec1d):
         rng = np.random.default_rng(9)
         vals = rng.normal(size=(3, spec1d.sizes[0])) * (1 + 0j)

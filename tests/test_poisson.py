@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
 from tubeharm.errors import (
@@ -215,22 +216,25 @@ class TestBuildField:
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
         x1, x2 = spec.coords()
         f = gr.GridFunction(spec, np.exp(-(x1**2 + x2**2)))
-        lat = po.TLattice(m=3, t_min=0.5, levels=2)
-        fld = po.gradient_magnitude_sq_field(f, cone_b, lat)
-        for row, idx in enumerate(lat.indices()):
-            t = lat.node(idx)
-            acc = np.zeros(spec.sizes)
-            for choices in itertools.product("XT", repeat=3):
-                sel = {mu: c for mu, c in enumerate(choices)}
-                comp = po.mixed_gradient(f, cone_b, t, sel)
-                acc += np.abs(comp.values) ** 2
-            assert np.max(np.abs(fld.values[row].real - acc)) < 1e-10 * acc.max()
+        # with a subset, the reference is the full field of the cone
+        # spanned by the selected generators
+        for subset in (None, (0, 2)):
+            mus = range(cone_b.m) if subset is None else subset
+            sub_cone = cg.validate_cone(cone_b.generators[list(mus)])
+            lat = po.TLattice(m=sub_cone.m, t_min=0.5, levels=2)
+            fld = po.gradient_magnitude_sq_field(f, cone_b, lat, subset=subset)
+            for row, idx in enumerate(lat.indices()):
+                t = lat.node(idx)
+                acc = np.zeros(spec.sizes)
+                for choices in itertools.product("XT", repeat=sub_cone.m):
+                    sel = {mu: c for mu, c in enumerate(choices)}
+                    comp = po.mixed_gradient(f, sub_cone, t, sel)
+                    acc += np.abs(comp.values) ** 2
+                assert np.max(np.abs(fld.values[row].real - acc)) < 1e-10 * acc.max()
 
 
 class TestDecayBound:
     def test_fitted_constant_bounded(self, spec, cone_b, gaussian):
-        from tubeharm import cone as cg
-
         lat = po.TLattice(m=3, t_min=0.25, ratio=2.0, levels=3)
         fld = po.build_field(gaussian, cone_b, lat)
         l1 = gr.lp_norm(gaussian, 1)

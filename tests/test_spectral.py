@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ def bump(dual_b):
 class TestMakeBump:
     def test_deep_inside_valid(self, dual_b):
         stf = sp.make_bump_psi(dual_b, [2.0, 2.0], 0.3)
-        assert stf.support_check
         assert np.all(stf.nodes @ dual_b.halfspaces.T >= 0)
 
     def test_boundary_rejected(self, dual_b):
@@ -143,6 +144,31 @@ class TestLiftField:
             num = np.max(np.abs(lifted.values[row] - pois.values))
             den = np.max(np.abs(lifted.values[row]))
             assert num / den < 1e-3, f"node {idx}: {num / den:.2e}"
+
+    def test_gradient_magnitude_matches_components(self, bump, cone_b):
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
+        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        fld = sp.gradient_magnitude_sq_lift(bump, cone_b, lat, spec)
+        acc = np.zeros(fld.values.shape)
+        for choices in itertools.product("XT", repeat=3):
+            sel = {mu: c for mu, c in enumerate(choices)}
+            comp = sp.lift_field(bump, cone_b, lat, spec, selector=sel)
+            acc += np.abs(comp.values) ** 2
+        assert np.max(np.abs(fld.values - acc)) < 1e-14 * acc.max()
+
+    @pytest.mark.parametrize("call", [
+        sp.lift_field,
+        sp.gradient_magnitude_sq_lift,
+        lambda stf, cone, lat, spec: sp.hardy_norm(stf, cone, 1, lat, spec),
+    ], ids=["lift", "gradient", "hardy"])
+    def test_node_outside_dual_cone_rejected(self, cone_b, call):
+        # e_1 . xi = -0.2 at the first node: the lift would grow with t
+        stf = sp.SpectralTestFunction(nodes=[[1.0, -0.2], [1.0, 1.0]],
+                                      weights=[1.0, 1.0], psi_vals=[1.0, 1.0])
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=8.0)
+        lat = po.TLattice(m=3, t_min=0.5, levels=1)
+        with pytest.raises(SupportEscapesDualCone, match="-2.000e-01"):
+            call(stf, cone_b, lat, spec)
 
     def test_hidden_parameter_consistency(self, bump, cone_b):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
