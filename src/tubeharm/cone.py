@@ -192,23 +192,15 @@ def _facet_normals(gens: np.ndarray) -> np.ndarray:
 def dual_rays(cone: PolyhedralCone) -> DualCone:
     """Enumerate extreme rays of the dual cone {xi : xi . e_j >= 0}.
 
-    Candidates are the null directions of (n-1)-subsets of constraints;
-    those satisfying every constraint are kept and deduplicated.
+    An extreme ray is orthogonal to n-1 generators, so the candidates are
+    the cached facet normals with both signs; those satisfying every
+    constraint are kept, deduplicated and sorted.
     """
     if cone.n > 4:
         raise UnsupportedDimension("ray enumeration supports n <= 4")
     gens = cone.generators
-    if cone.n == 1:
-        candidates = [np.array([1.0]), np.array([-1.0])]
-    else:
-        candidates = []
-        for subset in itertools.combinations(range(cone.m), cone.n - 1):
-            a = gens[list(subset)]
-            _, _, vt = np.linalg.svd(a)
-            v = vt[-1]
-            candidates.extend([v, -v])
     rays = []
-    for v in candidates:
+    for v in (s * nu for nu in cone.facet_normals() for s in (1.0, -1.0)):
         if np.all(gens @ v >= -RAY_TOL):
             v = v / np.linalg.norm(v)
             if not any(np.linalg.norm(v - w) < RAY_TOL for w in rays):
@@ -325,9 +317,8 @@ def cauchy_szego(cone: PolyhedralCone, z) -> complex:
     """Closed-form Cauchy-Szego kernel C(z) = integral over the dual cone
     of exp(2 pi i z . xi) d xi, for Im z strictly inside the cone.
 
-    The dual cone is triangulated by a fan from its lexicographically
-    first extreme ray; each simplicial piece contributes
-    |det V| * prod_j 1 / (-2 pi i z . v_j).
+    The dual cone is cut into simplicial cones (_fan_simplices); each
+    piece with rays v_j contributes |det V| * prod_j 1 / (-2 pi i z . v_j).
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (cone.n,):
@@ -341,69 +332,32 @@ def cauchy_szego(cone: PolyhedralCone, z) -> complex:
     if np.any(gaps <= RAY_TOL):
         raise BoundaryY("Im z must lie strictly inside the cone")
     total = 0.0 + 0.0j
-    for simplex in _fan_simplices(dual.rays):
+    # the sum of the generators lies in the open cone
+    for simplex in _fan_simplices(dual.rays, cone.generators.sum(axis=0)):
         v = dual.rays[list(simplex)]
         det = abs(np.linalg.det(v))
         if det <= RANK_TOL:
+            # Delaunay may return flat simplices on cocircular points
             continue
         denom = np.prod(-2j * np.pi * (v @ z))
         total += det / denom
     return complex(total)
 
 
-def _fan_simplices(rays: np.ndarray):
-    """Deterministic simplicial fan over the dual-cone cross-section."""
+def _fan_simplices(rays: np.ndarray, axis: np.ndarray):
+    """Simplicial cones tiling the cone over `rays`; `axis` must have a
+    positive product with every ray.
+
+    A simplicial cone tiles itself.  Otherwise the rays are scaled onto
+    the cross-section {xi : xi . axis = 1}, whose points are
+    Delaunay-triangulated in an orthonormal basis of that hyperplane (a
+    full-dimensional planar dual has two rays, so this needs n >= 3).
+    """
     k, n = rays.shape
-    if n == 1 or k == n:
+    if k == n:
         return [tuple(range(k))]
-    order = sorted(range(k), key=lambda i: tuple(np.round(rays[i], 12)))
-    apex = order[0]
-    center = rays.mean(axis=0)
-    center /= np.linalg.norm(center)
-    # cross-section points xi / (xi . center) on the hyperplane xi.center=1
-    pts = rays / (rays @ center)[:, None]
-    if n == 2:
-        line = pts - pts.mean(axis=0)
-        direction = line[np.argmax(np.linalg.norm(line, axis=1))]
-        param = line @ direction
-        ordered = np.argsort(param)
-        return [(int(ordered[i]), int(ordered[i + 1])) for i in range(k - 1)]
-    if n == 3:
-        # order vertices of the polygon around its centroid
-        basis = _plane_basis(center)
-        uv = (pts - pts.mean(axis=0)) @ basis.T
-        ang = np.arctan2(uv[:, 1], uv[:, 0])
-        ordered = list(np.argsort(ang))
-        pos = ordered.index(apex)
-        ordered = ordered[pos:] + ordered[:pos]
-        return [
-            (apex, int(ordered[i]), int(ordered[i + 1]))
-            for i in range(1, k - 1)
-        ]
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import Delaunay  # 0.5 s to import; only cones with k > n pay
 
-    basis = _plane_basis(center, count=n - 1)
-    uv = (pts - pts.mean(axis=0)) @ basis.T
-    hull = ConvexHull(uv)
-    simplices = []
-    for fct in hull.simplices:
-        if apex in fct:
-            continue
-        simplices.append(tuple([apex] + sorted(int(i) for i in fct)))
-    return simplices
-
-
-def _plane_basis(normal: np.ndarray, count: int | None = None) -> np.ndarray:
-    n = normal.size
-    count = count or n - 1
-    basis = []
-    for seed in np.eye(n):
-        v = seed - (seed @ normal) * normal
-        for b in basis:
-            v = v - (v @ b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            basis.append(v / norm)
-        if len(basis) == count:
-            break
-    return np.asarray(basis)
+    pts = rays / (rays @ axis)[:, None]
+    plane = np.linalg.svd(axis[None, :])[2][1:]  # rows span the complement of axis
+    return Delaunay(pts @ plane.T).simplices

@@ -102,25 +102,14 @@ def fourier_inverse(fhat: GridFunction) -> GridFunction:
     return GridFunction(fhat.spec, vals, DOMAIN_SPACE)
 
 
-def multiplier_values(spec: GridSpec, multiplier) -> np.ndarray:
-    """Evaluate a multiplier callable on the reciprocal lattice."""
-    return np.asarray(multiplier(*spec.freqs()), dtype=np.complex128) * np.ones(
-        spec.sizes
-    )
-
-
 def apply_multiplier(f: GridFunction, multiplier) -> GridFunction:
     """inverse-transform(M(xi) * forward-transform(f)).
 
-    `multiplier` is a callable of the n open-mesh frequency axes, or a
-    precomputed ndarray over the full frequency lattice.
+    `multiplier` holds M on the reciprocal lattice: any array that
+    broadcasts to the grid, such as one evaluated on `spec.freqs()`.
     """
-    if isinstance(multiplier, np.ndarray):
-        mvals = multiplier
-    else:
-        mvals = multiplier_values(f.spec, multiplier)
     fhat = fourier_forward(f)
-    fhat.values *= mvals
+    fhat.values *= multiplier
     return fourier_inverse(fhat)
 
 
@@ -152,11 +141,8 @@ def directional_fd(f: GridFunction, v, order: int = 1) -> GridFunction:
     if order not in (1, 2):
         raise BadShape("order must be 1 or 2")
 
-    def mult(*xi):
-        dot = sum(vk * x for vk, x in zip(v, xi))
-        return (2j * np.pi * dot) ** order
-
-    return apply_multiplier(f, mult)
+    dot = sum(vk * xi for vk, xi in zip(v, f.spec.freqs()))
+    return apply_multiplier(f, (2j * np.pi * dot) ** order)
 
 
 def directional_fd_stencil(f: GridFunction, v, order: int = 1) -> GridFunction:

@@ -311,9 +311,20 @@ def read_field(dirpath) -> OperatorField:
         sizes=tuple(manifest["grid"]["sizes"]),
         box_half=manifest["grid"]["box_half"],
     )
+    names = [field_node_name(idx) for idx in lattice.indices()]
+    if manifest["nodes"] != names:
+        pairs = enumerate(itertools.zip_longest(names, manifest["nodes"]))
+        row, (want, got) = next(p for p in pairs if p[1][0] != p[1][1])
+        raise BadShape(
+            f"manifest lists {len(manifest['nodes'])} nodes, the lattice has "
+            f"{len(names)}; row {row}: expected {want!r}, found {got!r}"
+        )
     values = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
-    for row, name in enumerate(manifest["nodes"]):
-        values[row] = gr.read_tgf(os.path.join(dirpath, name)).values
+    for row, name in enumerate(names):
+        node = gr.read_tgf(os.path.join(dirpath, name))
+        if node.spec != spec:
+            raise BadShape(f"{name}: expected the manifest grid {spec}, found {node.spec}")
+        values[row] = node.values
     selector = manifest["selector"]
     if selector is not None:
         selector = {int(k): v for k, v in selector.items()}

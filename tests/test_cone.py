@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,19 @@ def brute_rect_contains(cone, x, t, xp, steps=2001):
         if np.all(np.abs(lam) <= t[:n] + 1e-9):
             return True
     return False
+
+
+def draw_cone(seed, n, m):
+    """m unit generators at 0.2 to 1 rad from a random axis: a pointed
+    cone whose dual often has more than n extreme rays."""
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(n)
+    axis /= np.linalg.norm(axis)
+    perp = rng.standard_normal((m, n))
+    perp -= np.outer(perp @ axis, axis)
+    perp /= np.linalg.norm(perp, axis=1, keepdims=True)
+    angle = rng.uniform(0.2, 1.0, size=(m, 1))
+    return cg.validate_cone(np.cos(angle) * axis + np.sin(angle) * perp), rng
 
 
 class TestValidate:
@@ -351,6 +365,25 @@ class TestCauchySzego:
         assert abs(
             cg.cauchy_szego(axis_cone, z) - cg.cauchy_szego(cone_b, z)
         ) < 1e-14
+
+
+    @pytest.mark.parametrize("n, m, seed", [(3, 5, 5), (4, 5, 1), (4, 6, 3)])
+    def test_non_simplicial_dual_volume_oracle(self, n, m, seed):
+        # Laplace transform of a convex cone: the integral of
+        # exp(-2 pi y . xi) over the dual is n! vol{xi in dual : y . xi <= 1}
+        # / (2 pi)^n; Qhull measures that polytope without triangulating
+        # the dual
+        from scipy.spatial import ConvexHull
+
+        cone, rng = draw_cone(seed, n, m)
+        rays = cg.dual_rays(cone).rays
+        assert rays.shape[0] > n
+        for t in rng.uniform(0.2, 1.0, size=(8, m)):
+            y = cg.project(cone, t)
+            polytope = np.vstack([np.zeros(n), rays / (rays @ y)[:, None]])
+            want = math.factorial(n) * ConvexHull(polytope).volume / (2 * np.pi) ** n
+            got = cg.cauchy_szego(cone, 1j * y)
+            assert abs(got - want) <= 1e-12 * want
 
 
 class TestJsonRoundTrip:

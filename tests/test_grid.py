@@ -85,22 +85,24 @@ class TestFourier:
 class TestMultiplier:
     def test_identity(self, spec2d):
         f = random_grid(spec2d, 3)
-        out = gr.apply_multiplier(f, lambda x1, x2: np.ones(1))
+        out = gr.apply_multiplier(f, np.ones(1))
         assert np.max(np.abs(out.values - f.values)) < 1e-12
 
     def test_commutes(self, spec2d):
         f = random_grid(spec2d, 4)
-        m1 = lambda x1, x2: np.exp(-(x1**2 + 0 * x2))
-        m2 = lambda x1, x2: 1.0 / (1.0 + x1**2 + x2**2)
+        x1, x2 = spec2d.freqs()
+        m1 = np.exp(-(x1**2 + 0 * x2))
+        m2 = 1.0 / (1.0 + x1**2 + x2**2)
         a = gr.apply_multiplier(gr.apply_multiplier(f, m1), m2)
         b = gr.apply_multiplier(gr.apply_multiplier(f, m2), m1)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
     def test_product_equals_composition(self, spec2d):
         f = random_grid(spec2d, 5)
-        m1 = lambda x1, x2: np.exp(-np.abs(x1) - 0 * x2)
-        m2 = lambda x1, x2: np.cos(x2) + 0 * x1
-        ab = gr.apply_multiplier(f, lambda x1, x2: m1(x1, x2) * m2(x1, x2))
+        x1, x2 = spec2d.freqs()
+        m1 = np.exp(-np.abs(x1) - 0 * x2)
+        m2 = np.cos(x2) + 0 * x1
+        ab = gr.apply_multiplier(f, m1 * m2)
         chain = gr.apply_multiplier(gr.apply_multiplier(f, m2), m1)
         assert np.max(np.abs(ab.values - chain.values)) < 1e-12
 
@@ -112,7 +114,8 @@ class TestMultiplier:
         (x,) = spec.coords()
         f = gr.GridFunction(spec, np.exp(-(x**2)))
         t = 0.5
-        out = gr.apply_multiplier(f, lambda xi: np.exp(-2 * np.pi * t * np.abs(xi)))
+        (xi,) = spec.freqs()
+        out = gr.apply_multiplier(f, np.exp(-2 * np.pi * t * np.abs(xi)))
         s = np.linspace(-200, 200, 400001)
         kernel = t / (np.pi * (t**2 + s**2))
         xs = spec.axis_coords(0)
@@ -146,7 +149,8 @@ class TestDirectionalDerivative:
     def test_matches_axis_multiplier(self, spec2d):
         f = random_grid(spec2d, 7)
         d = gr.directional_fd(f, [0.0, 1.0], order=1)
-        ref = gr.apply_multiplier(f, lambda x1, x2: 2j * np.pi * x2 + 0 * x1)
+        x1, x2 = spec2d.freqs()
+        ref = gr.apply_multiplier(f, 2j * np.pi * x2 + 0 * x1)
         assert np.array_equal(d.values, ref.values)
 
     def test_second_order_vs_stencil(self):

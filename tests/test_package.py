@@ -1,10 +1,14 @@
 """Guards on the package as a whole: no empty modules, no exception
-class without a raiser, no console script that does not import."""
+class without a raiser, no console script that does not import, and no
+eager import of scipy.spatial."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -55,3 +59,20 @@ def test_console_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_planar_kernel_leaves_scipy_spatial_unimported():
+    # scipy.spatial costs about 0.5 s and 38 MiB to import; only cones
+    # whose dual has more than n rays need it
+    script = (
+        "import sys\n"
+        "import tubeharm\n"
+        "from tubeharm import cone\n"
+        "c = cone.validate_cone([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])\n"
+        "cone.cauchy_szego(c, [0.1 + 1.0j, -0.2 + 1.0j])\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -259,3 +260,28 @@ class TestFieldIO:
         assert back.selector == fld.selector
         assert np.array_equal(back.values, fld.values)
         assert (tmp_path / "field" / "t_01_00_01.tgf").exists()
+
+    def _written(self, tmp_path, cone_b):
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
+        x1, x2 = spec.coords()
+        f = gr.GridFunction(spec, np.exp(-(x1**2 + x2**2)))
+        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        po.write_field(tmp_path / "field", po.build_field(f, cone_b, lat))
+        return tmp_path / "field"
+
+    def test_truncated_manifest_rejected(self, tmp_path, cone_b):
+        path = self._written(tmp_path, cone_b)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["nodes"] = manifest["nodes"][:-1]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadShape, match=r"lists 7 nodes, the lattice has 8; "
+                                           r"row 7: expected 't_01_01_01.tgf', found None"):
+            po.read_field(path)
+
+    def test_node_grid_mismatch_rejected(self, tmp_path, cone_b):
+        path = self._written(tmp_path, cone_b)
+        other = gr.GridSpec(n=2, sizes=(32, 32), box_half=4.0)
+        gr.write_tgf(path / "t_00_01_00.tgf", gr.GridFunction(other, np.zeros((32, 32))))
+        with pytest.raises(BadShape, match=r"t_00_01_00.tgf: expected the manifest grid "
+                                           r".*box_half=8.0.*, found .*box_half=4.0"):
+            po.read_field(path)
