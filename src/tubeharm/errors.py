@@ -42,7 +42,26 @@ class EmptySelector(TubeharmError):
 
 
 class OutOfMemoryBudget(TubeharmError):
-    """Requested field exceeds the configured node*grid element budget."""
+    """A node loop would hold more than its element budget at its peak.
+
+    `needed` is the counted peak in complex elements (a float64 counts
+    1/2): the output plus the loop's spectra, decay tables and buffers."""
+
+    def __init__(self, needed: float, budget: int, detail: str):
+        self.needed = needed
+        super().__init__(
+            f"{detail}: peak {needed:.1f} complex elements exceeds budget {budget}"
+        )
+
+
+class NonFiniteValues(TubeharmError):
+    """Input samples are NaN or infinite.
+
+    `count` is the number of non-finite samples among `size`."""
+
+    def __init__(self, count: int, size: int):
+        self.count = count
+        super().__init__(f"{count} of {size} samples are not finite")
 
 
 class SupportEscapesDualCone(TubeharmError):

@@ -5,6 +5,16 @@ reciprocal lattice k/(2L) for k in [-size/2, size/2).  The forward
 transform approximates the continuous integral with the e^{-2 pi i x.xi}
 convention (Riemann sum, factor h^n); the inverse carries (1/(2L))^n per
 axis, so the round trip is the identity.
+
+A multiplier needs neither centring shift nor h^n factor.  The centred
+transforms are S fftn(S f) h^n and S ifftn(S g) / h^n, S the roll by
+size/2 on every axis.  Sizes are even, so S is its own inverse and
+fftn(S f) = (-1)^k fftn(f), ifftn((-1)^k g) = S ifftn(g) for the
+frequency index k; hence, exactly in real arithmetic,
+
+    fourier_inverse(M * fourier_forward(f)) = ifftn(fftn(f) * S M),
+
+with S M = `np.fft.ifftshift(M)`, the multiplier in FFT order.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadShape, ShapeMismatch
-from .util import kahan_sum
+from .util import kahan_sum, require_finite
 
 DOMAIN_SPACE = "space"
 DOMAIN_FREQ = "frequency"
@@ -103,25 +113,29 @@ def fourier_inverse(fhat: GridFunction) -> GridFunction:
 
 
 def apply_multiplier(f: GridFunction, multiplier) -> GridFunction:
-    """inverse-transform(M(xi) * forward-transform(f)).
+    """inverse-transform(M(xi) * forward-transform(f)), computed without
+    shifts as ifftn(fftn(f) * ifftshift(M)) (see the module docstring).
 
-    `multiplier` holds M on the reciprocal lattice: any array that
-    broadcasts to the grid, such as one evaluated on `spec.freqs()`.
+    `multiplier` holds M on the reciprocal lattice in centred order: any
+    array that broadcasts to the grid, such as one evaluated on
+    `spec.freqs()`.
     """
-    fhat = fourier_forward(f)
-    fhat.values *= multiplier
-    return fourier_inverse(fhat)
+    if f.domain_tag != DOMAIN_SPACE:
+        raise ShapeMismatch("apply_multiplier expects a spatial function")
+    vals = np.fft.fftn(f.values)
+    vals *= np.fft.ifftshift(np.broadcast_to(multiplier, f.spec.sizes))
+    return GridFunction(f.spec, np.fft.ifftn(vals, out=vals), DOMAIN_SPACE)
 
 
 def lp_norm(f: GridFunction, p) -> float:
     """Discretized L^p norm: (h^n sum |f|^p)^(1/p); p = inf gives sup|f|."""
     mag = np.abs(f.values)
     if p == np.inf or p == "inf":
-        return float(mag.max())
+        return float(require_finite(f.values, mag.max()))
     if p not in (1, 2):
         raise BadShape("p must be 1, 2 or inf")
     cell = f.spec.h ** f.spec.n
-    return float(kahan_sum(mag**p) * cell) ** (1.0 / p)
+    return float(require_finite(f.values, kahan_sum(mag**p)) * cell) ** (1.0 / p)
 
 
 def inner(f: GridFunction, g: GridFunction) -> complex:

@@ -25,12 +25,14 @@ from .errors import (
     LengthMismatch,
     NonpositiveT,
     OutOfMemoryBudget,
+    ShapeMismatch,
 )
+from .util import require_finite
 
 DEFAULT_RATIO = float(np.sqrt(2.0))
 DEFAULT_LEVELS = 8
 MAX_NODES = 4096
-DEFAULT_BUDGET = 2**27  # complex elements across all nodes
+DEFAULT_BUDGET = 2**27  # complex elements at a node loop's peak
 
 X_CHOICE = "X"
 T_CHOICE = "T"
@@ -205,41 +207,64 @@ def gradient_selectors(mus) -> list:
             for choices in itertools.product((X_CHOICE, T_CHOICE), repeat=len(mus))]
 
 
-def _node_components(f: gr.GridFunction, cone: PolyhedralCone,
-                     lattice: TLattice, mus, selectors):
-    """Per lattice node in row order, yield the inverse transforms (grid
-    functions) of f-hat times the decay over `mus` and each selector's
-    factor, lazily.
+def _check_budget(spec: gr.GridSpec, cone: PolyhedralCone, lattice: TLattice,
+                  spectra: int, output: float, budget: int) -> None:
+    """Raise OutOfMemoryBudget unless the node loop's peak fits `budget`.
 
-    One forward transform per call, the factor once per selector and the
-    decay once per node.  A node's components must be consumed before
-    the next node is drawn."""
-    fhat = gr.fourier_forward(f)
-    dots = _axis_dots(f.spec, cone)
-    weighted = [fhat.values * gradient_factor(dots, sel) for sel in selectors]
-    node_dots = [dots[mu] for mu in mus]
-    for t in lattice.nodes():
-        decay = poisson_decay(node_dots, t)
-        yield (gr.fourier_inverse(gr.GridFunction(f.spec, w * decay, gr.DOMAIN_FREQ))
-               for w in weighted)
+    Counted in complex elements, a float64 as 1/2, per grid point: the
+    caller's `output`, f-hat, the `spectra` weighted spectra, the spectrum
+    buffer, the per-generator dots, the m * levels decay tables and the
+    decay buffer."""
+    floats = cone.m + lattice.m * lattice.levels + 1
+    needed = output + spec.npoints * (spectra + 2 + floats / 2)
+    if needed > budget:
+        raise OutOfMemoryBudget(
+            needed, budget,
+            f"{lattice.node_count} nodes x {spec.npoints} points, {spectra} spectra",
+        )
+
+
+def _node_spectra(f: gr.GridFunction, cone: PolyhedralCone,
+                  lattice: TLattice, mus, selectors):
+    """Per lattice node in row order, yield the spectra of f times the
+    decay over `mus` and each selector's factor, lazily.
+
+    Spectra are unscaled and in FFT order, so by the shift identity of
+    the `grid` module docstring `np.fft.ifftn` of one is the component in
+    space.  One forward transform per call, the factor once per selector,
+    and per node a product of m decay tables, one per generator and
+    level.  All spectra share one buffer: each must be consumed before
+    the next is drawn."""
+    if f.domain_tag != gr.DOMAIN_SPACE:
+        raise ShapeMismatch("the Poisson field needs a spatial function")
+    require_finite(f.values, f.values.sum())
+    fhat = np.fft.fftn(f.values)
+    dots = [np.fft.ifftshift(d) for d in _axis_dots(f.spec, cone)]
+    weighted = [fhat * gradient_factor(dots, sel) for sel in selectors]
+    tables = [[poisson_decay([dots[mu]], [v]) for v in lattice.axis_values]
+              for mu in mus]
+    decay = np.empty(f.spec.sizes)
+    spectrum = np.empty(f.spec.sizes, dtype=np.complex128)
+    for idx in lattice.indices():
+        decay[...] = tables[0][idx[0]]
+        for table, k in zip(tables[1:], idx[1:]):
+            decay *= table[k]
+        yield (np.multiply(w, decay, out=spectrum) for w in weighted)
 
 
 def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
                 selector: dict | None = None,
                 budget: int = DEFAULT_BUDGET) -> OperatorField:
     """Materialize the (optionally differentiated) Poisson field at
-    every lattice node.  One forward transform; one inverse per node."""
+    every lattice node.  One forward transform; one inverse per node,
+    straight into the node's row."""
     if lattice.m != cone.m:
         raise LengthMismatch("lattice parameter count != generator count")
-    if lattice.node_count * f.spec.npoints > budget:
-        raise OutOfMemoryBudget(
-            f"{lattice.node_count} nodes x {f.spec.npoints} points "
-            f"exceed budget {budget}"
-        )
+    _check_budget(f.spec, cone, lattice, 1, lattice.node_count * f.spec.npoints, budget)
     out = np.empty((lattice.node_count, *f.spec.sizes), dtype=np.complex128)
-    nodes = _node_components(f, cone, lattice, range(cone.m), [selector or {}])
-    for row, (node,) in enumerate(nodes):
-        out[row] = node.values
+    nodes = _node_spectra(f, cone, lattice, range(cone.m), [selector or {}])
+    for row, (spectrum,) in enumerate(nodes):
+        np.fft.ifftn(spectrum, out=out[row])
     return OperatorField(lattice=lattice, spec=f.spec, values=out,
                          selector=dict(selector) if selector else None)
 
@@ -257,12 +282,17 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
         raise EmptySelector("parameter subset must be nonempty")
     if lattice.m != len(mus):
         raise LengthMismatch("lattice dimension must match the subset size")
-    if lattice.node_count * f.spec.npoints > budget:
-        raise OutOfMemoryBudget("field exceeds element budget")
-    out = np.empty((lattice.node_count, *f.spec.sizes))
-    nodes = _node_components(f, cone, lattice, mus, gradient_selectors(mus))
-    for row, components in enumerate(nodes):
-        out[row] = sum(np.abs(g.values) ** 2 for g in components)
+    selectors = gradient_selectors(mus)
+    # the float64 output and the float64 buffer of the squares
+    output = (lattice.node_count + 1) * f.spec.npoints / 2
+    _check_budget(f.spec, cone, lattice, len(selectors), output, budget)
+    out = np.zeros((lattice.node_count, *f.spec.sizes))
+    square = np.empty(f.spec.sizes)
+    for row, spectra in enumerate(_node_spectra(f, cone, lattice, mus, selectors)):
+        for spectrum in spectra:
+            component = np.fft.ifftn(spectrum, out=spectrum)
+            out[row] += np.square(component.real, out=square)
+            out[row] += np.square(component.imag, out=square)
     return OperatorField(lattice=lattice, spec=f.spec, values=out)
 
 

@@ -1,8 +1,10 @@
-"""Deterministic accumulation."""
+"""Deterministic accumulation and the finiteness check on reductions."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NonFiniteValues
 
 
 def kahan_sum(values) -> float:
@@ -23,4 +25,17 @@ def kahan_sum(values) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
+    return total
+
+
+def require_finite(values, total):
+    """Return `total`, a sum or maximum over `values`; raise
+    NonFiniteValues when it is not finite because some sample is not.
+
+    Clean data pays one scalar test: the samples are counted only once
+    the reduction has failed."""
+    if not np.isfinite(total):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise NonFiniteValues(bad, np.size(values))
     return total

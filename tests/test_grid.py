@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tubeharm import grid as gr
-from tubeharm.errors import BadShape, ShapeMismatch
+from tubeharm.errors import BadShape, NonFiniteValues, ShapeMismatch
 
 
 @pytest.fixture
@@ -106,6 +106,25 @@ class TestMultiplier:
         chain = gr.apply_multiplier(gr.apply_multiplier(f, m2), m1)
         assert np.max(np.abs(ab.values - chain.values)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_centred_definition(self, n):
+        # an odd, non-symmetric multiplier: an even one such as the
+        # Poisson decay would hide a frequency-ordering error; h = 3/8
+        # is not a power of two, so the dropped h^n factors show too
+        spec = gr.GridSpec(n=n, sizes=(32,) * n, box_half=6.0)
+        f = random_grid(spec, 8)
+        xi = spec.freqs()
+        mult = 2j * np.pi * sum(c * x for c, x in zip((1.0, 0.3), xi)) + xi[0] ** 2
+        want = gr.fourier_forward(f)
+        want.values *= mult
+        want = gr.fourier_inverse(want).values
+        got = gr.apply_multiplier(f, mult).values
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_frequency_input_rejected(self, spec2d):
+        with pytest.raises(ShapeMismatch):
+            gr.apply_multiplier(gr.fourier_forward(random_grid(spec2d)), np.ones(1))
+
     def test_axis_poisson_vs_trapezoid(self):
         # 1-d sanity: multiplier e^{-2 pi t |xi|} vs direct spatial
         # convolution with the truncated kernel.  The box must be wide:
@@ -134,6 +153,16 @@ class TestNorms:
     def test_sup(self, spec2d):
         f = random_grid(spec2d, 6)
         assert gr.lp_norm(f, np.inf) == np.max(np.abs(f.values))
+
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_nonfinite_rejected(self, spec2d, p):
+        f = random_grid(spec2d, 7)
+        f.values[3, 5] = np.nan
+        f.values[10, 0] = np.inf
+        f.values[11, 1] = complex(0.0, -np.inf)
+        with pytest.raises(NonFiniteValues, match="3 of 4096 samples") as err:
+            gr.lp_norm(f, p)
+        assert err.value.count == 3
 
 
 class TestDirectionalDerivative:

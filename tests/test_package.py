@@ -1,6 +1,6 @@
 """Guards on the package as a whole: no empty modules, no exception
 class without a raiser, no console script that does not import, and no
-eager import of scipy.spatial."""
+eager import of scipy.spatial or scipy.fft."""
 
 import ast
 import importlib
@@ -61,18 +61,40 @@ def test_console_scripts_import():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
+def _loaded_after(script: str, module: str) -> bool:
+    """Whether `module` is in sys.modules after `script` runs in a fresh
+    interpreter."""
+    script += f"import sys\nprint({module!r} in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip() == "True"
+
+
 def test_planar_kernel_leaves_scipy_spatial_unimported():
     # scipy.spatial costs about 0.5 s and 38 MiB to import; only cones
     # whose dual has more than n rays need it
     script = (
-        "import sys\n"
         "import tubeharm\n"
         "from tubeharm import cone\n"
         "c = cone.validate_cone([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])\n"
         "cone.cauchy_szego(c, [0.1 + 1.0j, -0.2 + 1.0j])\n"
-        "print('scipy.spatial' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert not _loaded_after(script, "scipy.spatial")
+
+
+def test_poisson_fields_leave_scipy_fft_unimported():
+    # scipy.fft is faster per transform than numpy.fft, but importing it
+    # costs about 27 MiB of peak RSS and 0.37 s
+    script = (
+        "import numpy as np\n"
+        "import tubeharm\n"
+        "from tubeharm import cone, grid, poisson\n"
+        "c = cone.validate_cone([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])\n"
+        "spec = grid.GridSpec(n=2, sizes=(16, 16), box_half=4.0)\n"
+        "f = grid.GridFunction(spec, np.ones(spec.sizes))\n"
+        "lat = poisson.TLattice(m=3, t_min=0.5, levels=2)\n"
+        "poisson.build_field(f, c, lat)\n"
+        "poisson.gradient_magnitude_sq_field(f, c, lat)\n"
+    )
+    assert not _loaded_after(script, "scipy.fft")

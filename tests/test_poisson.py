@@ -11,8 +11,10 @@ from tubeharm.errors import (
     BadShape,
     EmptySelector,
     LengthMismatch,
+    NonFiniteValues,
     NonpositiveT,
     OutOfMemoryBudget,
+    ShapeMismatch,
 )
 
 
@@ -212,6 +214,56 @@ class TestBuildField:
         lat = po.TLattice(m=3, t_min=0.4, levels=2)
         with pytest.raises(OutOfMemoryBudget):
             po.build_field(gaussian, cone_b, lat, budget=100)
+
+    def test_budget_counts_loop_peak(self, cone_b):
+        # the 8 float64 nodes fit in 4 * 1024 elements, the 8 weighted
+        # spectra of the gradient loop need 8 * 1024 more
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
+        f = gr.GridFunction(spec, np.ones(spec.sizes))
+        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        with pytest.raises(OutOfMemoryBudget, match="exceeds budget 8192") as err:
+            po.gradient_magnitude_sq_field(f, cone_b, lat, budget=8 * 1024)
+        # output and square buffer 4.5, f-hat, spectra and spectrum
+        # buffer 10, dots, tables and decay buffer (3 + 6 + 1) / 2
+        assert err.value.needed == (4.5 + 10 + 5) * 1024
+        assert f"peak {err.value.needed:.1f}" in str(err.value)
+        po.gradient_magnitude_sq_field(f, cone_b, lat, budget=int(err.value.needed))
+        with pytest.raises(OutOfMemoryBudget):
+            po.build_field(f, cone_b, lat, budget=lat.node_count * spec.npoints)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_rejected(self, cone_b, bad):
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
+        vals = np.ones(spec.sizes)
+        vals[4, 7] = bad
+        f = gr.GridFunction(spec, vals)
+        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        with pytest.raises(NonFiniteValues, match="1 of 1024 samples"):
+            po.build_field(f, cone_b, lat)
+        with pytest.raises(NonFiniteValues, match="1 of 1024 samples"):
+            po.gradient_magnitude_sq_field(f, cone_b, lat)
+
+    def test_frequency_input_rejected(self, cone_b, gaussian):
+        lat = po.TLattice(m=3, t_min=0.5, levels=1)
+        with pytest.raises(ShapeMismatch):
+            po.build_field(gr.fourier_forward(gaussian), cone_b, lat)
+
+    def test_selector_nodes_match_centred_definition(self, cone_b):
+        # an off-centre, non-symmetric input and an odd X factor, against
+        # fourier_inverse(M * fourier_forward(f)); h = 3/8 is not a power
+        # of two, so the h^n factors the node loop drops show too
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=6.0)
+        x1, x2 = spec.coords()
+        f = gr.GridFunction(spec, np.exp(-((x1 - 1.0) ** 2 + 2 * (x2 + 0.5) ** 2)) * (1 + x1))
+        lat = po.TLattice(m=3, t_min=0.5, ratio=2.0, levels=2)
+        selector = {0: po.X_CHOICE, 2: po.T_CHOICE}
+        fld = po.build_field(f, cone_b, lat, selector=selector)
+        factor = po.gradient_factor(po._axis_dots(spec, cone_b), selector)
+        for row, idx in enumerate(lat.indices()):
+            fhat = gr.fourier_forward(f)
+            fhat.values *= po.poisson_multiplier(spec, cone_b, lat.node(idx)) * factor
+            want = gr.fourier_inverse(fhat).values
+            assert np.max(np.abs(fld.values[row] - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_gradient_magnitude_field_matches_components(self, cone_b):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
