@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -77,6 +78,24 @@ class TestValidate:
     def test_bad_shape(self):
         with pytest.raises(BadShape):
             cg.validate_cone([[1.0, 0.0, 0.0]])  # m < n
+
+    def test_generators_read_only(self):
+        gens = np.eye(2)
+        cone = cg.validate_cone(gens)
+        with pytest.raises(ValueError):
+            cone.generators[0, 0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cone.generators = np.eye(2)
+        gens[0, 0] = 0.5  # the caller's array is not the cone's
+        assert cone.generators[0, 0] == 1.0
+
+    def test_cached_geometry_read_only(self):
+        cone, _ = draw_cone(4, 3, 5)
+        cached = [cone.facet_normals, cone.support_matrix, cone.dual.halfspaces,
+                  cone.dual.rays, *cone.szego_pieces]
+        for array in cached:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
 
 
 class TestProject:
@@ -386,6 +405,78 @@ class TestCauchySzego:
             want = math.factorial(n) * ConvexHull(polytope).volume / (2 * np.pi) ** n
             got = cg.cauchy_szego(cone, 1j * y)
             assert abs(got - want) <= 1e-12 * want
+
+
+    def test_boundary_message_scalar(self, axis_cone):
+        with pytest.raises(BoundaryY, match=r"smallest y \. v over dual rays is -5\.000e-01$"):
+            cg.cauchy_szego(axis_cone, np.array([0.3 + 1j, 0.1 - 0.5j]))
+
+    def test_boundary_message_batched(self, axis_cone):
+        z = np.full((2, 3, 2), 0.2 + 1j)
+        z[1, 0, 1] = 0.4 + 1e-10j
+        with pytest.raises(BoundaryY, match=r"is 1\.000e-10 at flat index 3$"):
+            cg.cauchy_szego(axis_cone, z)
+
+    def test_batch_length_mismatch(self, cone_b):
+        with pytest.raises(LengthMismatch):
+            cg.cauchy_szego(cone_b, np.full((4, 3), 1j))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batched_matches_per_point(self, n):
+        cone, rng = draw_cone(10 + n, n, n + 2)
+        heights = cg.project(cone, rng.uniform(0.2, 1.0, size=(8, 4, n + 2)))
+        z = rng.uniform(-1.0, 1.0, size=(8, 4, n)) + 1j * heights
+        got = cg.cauchy_szego(cone, z)
+        assert got.shape == (8, 4) and got.dtype == complex
+        want = [cg.cauchy_szego(cone, p) for p in z.reshape(-1, n)]
+        assert all(type(w) is complex for w in want)
+        want = np.array(want)
+        assert np.max(np.abs(got.ravel() - want) / np.abs(want)) <= 1e-14
+
+    def test_fan_built_once_per_cone(self, monkeypatch):
+        calls = []
+        fan = cg._fan_simplices
+        monkeypatch.setattr(cg, "_fan_simplices", lambda *a: calls.append(1) or fan(*a))
+        cone, rng = draw_cone(3, 4, 6)
+        z = rng.uniform(-1.0, 1.0, size=(5, 4)) + 1j * cg.project(cone, np.ones(6))
+        for _ in range(3):
+            cg.cauchy_szego(cone, z)
+            cg.cauchy_szego(cone, z[0])
+        assert len(calls) == 1 and cone.dual.rays.shape[0] > 4
+
+    # simplicial duals far thinner than RANK_TOL: a regular needle of
+    # half-angle 5e-4 (cond V = 3.5e3) and the (n, m) = (4, 4) cone of the
+    # benchmark's cone_geometry seed 2, case 15 (cond V = 1.7e4).  The
+    # unit rays carry an absolute error near 4e-16, which |det V| turns
+    # into a relative error of about cond V * 1e-16
+    NEEDLE_RAYS = np.hstack([5e-4 * np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1],
+                                              [-1, -1, 1]]) / np.sqrt(3), np.ones((4, 1))])
+    BENCH_CONE = [
+        [-0.11232973133042706, -0.9529495348484542, -0.2153437766759968, -0.18137329830564142],
+        [0.017978819432572957, -0.9102892006029102, -0.21427378557555135, -0.35374719522937315],
+        [0.16226025687451406, -0.3590673342649752, 0.40265733999695774, -0.8262017459733644],
+        [-0.26001826084808016, -0.29946706297325326, 0.7700404501187352, -0.49974762370685566],
+    ]
+
+    @pytest.mark.parametrize("gens, tol", [
+        (np.linalg.inv(NEEDLE_RAYS).T, 1e-12),
+        (BENCH_CONE, 1e-11),
+    ], ids=["needle", "bench_seed2_case15"])
+    def test_thin_simplicial_dual_closed_form(self, gens, tol):
+        gens = np.asarray(gens)
+        cone = cg.validate_cone(gens / np.linalg.norm(gens, axis=1, keepdims=True))
+        assert cone.dual.rays.shape == (4, 4)
+        assert abs(np.linalg.det(cone.dual.rays)) < cg.RANK_TOL
+        rng = np.random.default_rng(21)
+        heights = cg.project(cone, rng.uniform(0.2, 1.0, size=(32, 4)))
+        z = rng.uniform(-1.0, 1.0, size=(32, 4)) + 1j * heights
+        # the dual basis: xi = sum_j s_j w_j with s in the orthant and w_j
+        # the rows of G^-T, so C(z) = |det G|^-1 prod_j 1 / (-2 pi i z . w_j)
+        g = cone.generators
+        dual_basis = np.linalg.inv(g).T
+        want = 1.0 / (abs(np.linalg.det(g)) * np.prod(-2j * np.pi * (z @ dual_basis.T), axis=-1))
+        got = cg.cauchy_szego(cone, z)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= tol
 
 
 class TestJsonRoundTrip:

@@ -144,6 +144,28 @@ class TestBoundaryGrid:
         assert power[inside].sum() / power.sum() > 0.999
 
 
+class TestPoissonSzego:
+    def test_reproduces_f_from_boundary_values(self, cone_b, dual_b):
+        # F(x + iy) = integral of P_y(x - u) F^b(u) du for F in H^2, with
+        # the Poisson-Szego kernel P_y(x) = |C(x + iy)|^2 / C(2iy) (Stein &
+        # Weiss 1971, ch. III); a Riemann sum over the grid needs no
+        # lattice-aligned spectrum.  Measured 1.7e-7 of the mass at 128^2
+        # and 1.6e-7 at 256^2: the box, which cuts the kernel's tails,
+        # sets the error
+        stf = sp.make_bump_psi(dual_b, [1.0, 0.8], 0.4)
+        spec = gr.GridSpec(n=2, sizes=(128, 128), box_half=8.0)
+        fb = sp.boundary_grid(stf, spec)
+        u = np.stack(np.meshgrid(*spec.coords(), indexing="ij"), axis=-1)
+        ys = cg.project(cone_b, [[0.2, 0.2, 0.2], [0.5, 0.3, 0.4]])
+        xs = np.array([[0.0, 0.0], [0.6, -0.4], [-1.1, 0.9]])
+        z = (xs[None, :, None, None, :] - u) + 1j * ys[:, None, None, None, :]
+        kernel = np.abs(cg.cauchy_szego(cone_b, z)) ** 2
+        kernel /= cg.cauchy_szego(cone_b, 2j * ys).real[:, None, None, None]
+        got = np.sum(kernel * fb.values, axis=(-2, -1)) * spec.h**2
+        want = np.array([[sp.eval_f(stf, x + 1j * y) for x in xs] for y in ys])
+        assert np.max(np.abs(got - want)) <= 1e-5 * stf.mass()
+
+
 class TestLiftField:
     def test_matches_eval_pointwise(self, bump, cone_b):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
