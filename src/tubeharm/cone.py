@@ -9,7 +9,8 @@ Cauchy-Szego kernel of the tube over the cone.
 
 The generators of a validated cone are read-only, and what depends on
 them alone is derived once, on first use, and kept on the cone as a
-read-only cached property: the zonotope facet normals, the support matrix
+read-only cached property: the n-subsets of generators with their |det|,
+the zonotope facet normals, the support matrix
 |nu . e_mu|, the dual cone, and the simplicial cones tiling the dual with
 their |det| (the pieces of the Cauchy-Szego kernel).
 """
@@ -61,6 +62,17 @@ class PolyhedralCone:
     n: int
     m: int
     generators: np.ndarray  # (m, n), rows unit length
+
+    @cached_property
+    def subsets(self) -> np.ndarray:
+        """All n-subsets of generator indices, (s, n) rows in
+        lexicographic order."""
+        return _frozen(np.array(list(itertools.combinations(range(self.m), self.n))))
+
+    @cached_property
+    def subset_dets(self) -> np.ndarray:
+        """|det| of the generators of each n-subset, in `subsets` order."""
+        return _frozen(np.abs(np.linalg.det(self.generators[self.subsets])))
 
     @cached_property
     def facet_normals(self) -> np.ndarray:
@@ -174,12 +186,13 @@ def validate_cone(generators) -> PolyhedralCone:
     if np.any(np.abs(norms - 1.0) > UNIT_TOL):
         bad = int(np.argmax(np.abs(norms - 1.0)))
         raise NotUnit(f"generator {bad} has norm {norms[bad]:.9f}")
-    gens = gens / norms[:, None]
-    for subset in itertools.combinations(range(m), n):
-        det = np.linalg.det(gens[list(subset)])
-        if abs(det) <= RANK_TOL:
-            raise DegenerateSubset(f"subset {subset} has |det|={abs(det):.3e}")
-    return PolyhedralCone(n=n, m=m, generators=_frozen(gens))
+    cone = PolyhedralCone(n=n, m=m, generators=_frozen(gens / norms[:, None]))
+    degenerate = np.flatnonzero(cone.subset_dets <= RANK_TOL)
+    if degenerate.size:
+        subset = tuple(int(i) for i in cone.subsets[degenerate[0]])
+        raise DegenerateSubset(
+            f"subset {subset} has |det|={cone.subset_dets[degenerate[0]]:.3e}")
+    return cone
 
 
 def cone_from_json(path) -> PolyhedralCone:
@@ -314,11 +327,7 @@ def zonotope_volume(cone: PolyhedralCone, t) -> float:
     t = np.asarray(t, dtype=float)
     if t.shape != (cone.m,):
         raise LengthMismatch(f"expected {cone.m} radii, got {t.shape}")
-    total = 0.0
-    for subset in itertools.combinations(range(cone.m), cone.n):
-        det = abs(np.linalg.det(cone.generators[list(subset)]))
-        total += det * float(np.prod(t[list(subset)]))
-    return (2.0**cone.n) * total
+    return (2.0**cone.n) * float(cone.subset_dets @ t[cone.subsets].prod(axis=1))
 
 
 def nontangential_contains(cone: PolyhedralCone, x, beta: float, xp, t) -> bool:

@@ -191,20 +191,12 @@ def directional_fd_stencil(f: GridFunction, v, order: int = 1) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# TGF1 binary container and CSV export
+# TGF1 binary container
 
-_MAGIC_SCALAR = b"TGF1"
-_MAGIC_CHANNELS = b"TGFH"
+_MAGIC = b"TGF1"
 _TAG_CODE = {DOMAIN_SPACE: 0, DOMAIN_FREQ: 1}
 _TAG_NAME = {0: DOMAIN_SPACE, 1: DOMAIN_FREQ}
 _PAYLOAD = "<c16"  # little-endian (re, im) f64 pairs
-
-
-def _write_header(fh, magic: bytes, spec: GridSpec, domain_tag: str) -> None:
-    """magic, u32 n, u32 sizes, f64 box_half per axis, u8 domain tag."""
-    fh.write(magic)
-    fh.write(struct.pack(f"<I{spec.n}I{spec.n}dB", spec.n, *spec.sizes,
-                         *([spec.box_half] * spec.n), _TAG_CODE[domain_tag]))
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
@@ -214,64 +206,30 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     return data
 
 
-def _read_header(fh, magic: bytes):
-    """Inverse of _write_header: returns (spec, domain tag)."""
-    found = fh.read(4)
-    if found != magic:
-        raise BadShape(f"not a {magic.decode()} file: magic {found!r}")
-    (n,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
-    fmt = f"<{n}I{n}dB"
-    fields = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "header"))
-    sizes, halves, tag = fields[:n], fields[n:2 * n], fields[-1]
-    if tag not in _TAG_NAME:
-        raise BadShape(f"unknown domain tag code {tag}")
-    return GridSpec(n=n, sizes=tuple(sizes), box_half=halves[0]), _TAG_NAME[tag]
-
-
-def _read_payload(fh, shape) -> np.ndarray:
-    count = int(np.prod(shape))
-    data = _read_exact(fh, 16 * count, "payload")
-    return np.frombuffer(data, dtype=_PAYLOAD).astype(np.complex128).reshape(shape)
-
-
 def write_tgf(path, f: GridFunction) -> None:
-    """Scalar grid container: header, then the values row-major as
-    little-endian (re, im) f64 pairs."""
+    """Scalar grid container: magic, u32 n, u32 sizes, f64 box_half per
+    axis, u8 domain tag, then the values row-major as little-endian
+    (re, im) f64 pairs."""
+    spec = f.spec
     with open(path, "wb") as fh:
-        _write_header(fh, _MAGIC_SCALAR, f.spec, f.domain_tag)
+        fh.write(_MAGIC)
+        fh.write(struct.pack(f"<I{spec.n}I{spec.n}dB", spec.n, *spec.sizes,
+                             *([spec.box_half] * spec.n), _TAG_CODE[f.domain_tag]))
         fh.write(f.values.astype(_PAYLOAD).tobytes())
 
 
 def read_tgf(path) -> GridFunction:
     with open(path, "rb") as fh:
-        spec, tag = _read_header(fh, _MAGIC_SCALAR)
-        return GridFunction(spec, _read_payload(fh, spec.sizes), tag)
-
-
-def write_tgf_channels(path, spec: GridSpec, values: np.ndarray,
-                       domain_tag: str = DOMAIN_SPACE) -> None:
-    """1-d multichannel variant: extra u32 channel count after the tag,
-    data stored channel-major."""
-    if spec.n != 1 or values.ndim != 2 or values.shape[1] != spec.sizes[0]:
-        raise BadShape("expected (channels, size) values on a 1-d grid")
-    with open(path, "wb") as fh:
-        _write_header(fh, _MAGIC_CHANNELS, spec, domain_tag)
-        fh.write(struct.pack("<I", values.shape[0]))
-        fh.write(np.asarray(values).astype(_PAYLOAD).tobytes())
-
-
-def read_tgf_channels(path):
-    with open(path, "rb") as fh:
-        spec, tag = _read_header(fh, _MAGIC_CHANNELS)
-        (channels,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
-        return spec, _read_payload(fh, (channels, spec.sizes[0])), tag
-
-
-def write_csv(path, f: GridFunction) -> None:
-    """One row per grid point: x1,...,xn,re,im."""
-    axes = [f.spec.axis_coords(a) for a in range(f.spec.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cols = [m.ravel() for m in mesh] + [f.values.real.ravel(), f.values.imag.ravel()]
-    data = np.column_stack(cols)
-    header = ",".join([f"x{i + 1}" for i in range(f.spec.n)] + ["re", "im"])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
+        found = fh.read(4)
+        if found != _MAGIC:
+            raise BadShape(f"not a {_MAGIC.decode()} file: magic {found!r}")
+        (n,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
+        fmt = f"<{n}I{n}dB"
+        fields = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "header"))
+        sizes, halves, tag = fields[:n], fields[n:2 * n], fields[-1]
+        if tag not in _TAG_NAME:
+            raise BadShape(f"unknown domain tag code {tag}")
+        spec = GridSpec(n=n, sizes=tuple(sizes), box_half=halves[0])
+        data = _read_exact(fh, 16 * spec.npoints, "payload")
+        values = np.frombuffer(data, dtype=_PAYLOAD).astype(np.complex128)
+        return GridFunction(spec, values.reshape(spec.sizes), _TAG_NAME[tag])

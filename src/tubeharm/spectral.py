@@ -16,20 +16,31 @@ holds exactly for F.  Two conditions bound what F is good for:
   lift exactly only for spectra on the reciprocal lattice k/(2L) of the
   grid; any other spectrum is not periodic on the box and leaks.  That
   leakage is not detected here.
+
+Grid sums are sum-factorized (Orszag 1980): with U_a the distinct node
+coordinates on axis a, the coefficients are scattered onto a core of
+prod_a U_a entries and contracted one axis at a time, which costs
+U_0 U_1 size_0 + U_1 size_0 size_1 complex multiply-adds in 2-d instead of
+K size_0 size_1.  A tensor spectrum such as `make_bump_psi`'s has a core
+no larger than its tensor grid (576 entries for the K = 312 nodes of the
+default 2-d bump); a core past `poisson.DEFAULT_BUDGET` (a scattered
+spectrum reaches K^n) is refused with `OutOfMemoryBudget`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as gr
 from .cone import DualCone, PolyhedralCone
-from .errors import BadShape, LengthMismatch, QuadratureRevival, SupportEscapesDualCone
-from .poisson import (OperatorField, TLattice, gradient_factor, gradient_selectors,
-                      poisson_decay)
+from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, QuadratureRevival,
+                     SupportEscapesDualCone)
+from .poisson import (DEFAULT_BUDGET, OperatorField, TLattice, gradient_factor,
+                      gradient_selectors, poisson_decay)
 
 DEFAULT_NODES_PER_AXIS = 24
 # largest admitted reach * node gap.  For the 24-node bump at radius 0.5
@@ -129,29 +140,44 @@ def _check_revival(nodes: np.ndarray, reach: float) -> None:
         raise QuadratureRevival(reach * gap, REVIVAL_LIMIT)
 
 
-def _phases(spec: gr.GridSpec, nodes: np.ndarray) -> list:
-    """Per-axis phase matrices exp(2 pi i x_a xi_{k,a}), one (K, size)
-    matrix per axis, for a grid inside the nodes' revival radius."""
+def _phases(spec: gr.GridSpec, nodes: np.ndarray) -> tuple:
+    """Contraction plan for the sum over `nodes` on the grid.
+
+    On each axis a the nodes take U_a distinct coordinates; the plan holds
+    one (U_a, size_a) phase matrix exp(2 pi i xi_a x_a) per axis, built over
+    those coordinates, and each node's per-axis index into them.  The grid
+    must lie inside the nodes' revival radius, and the core of prod_a U_a
+    entries that `_contract` fills must fit `DEFAULT_BUDGET`: a tensor
+    spectrum such as `make_bump_psi`'s needs no more than its tensor grid,
+    a scattered one up to K^n."""
     _check_revival(nodes, spec.box_half)
-    return [
-        np.exp(2j * np.pi * np.outer(nodes[:, a], spec.axis_coords(a)))
-        for a in range(spec.n)
-    ]
+    coords, index = zip(*(np.unique(nodes[:, a], return_inverse=True)
+                          for a in range(spec.n)))
+    core = math.prod(len(c) for c in coords)
+    if core > DEFAULT_BUDGET:
+        raise OutOfMemoryBudget(
+            core, DEFAULT_BUDGET,
+            f"{len(nodes)} spectral nodes on a {' x '.join(str(len(c)) for c in coords)} core",
+        )
+    mats = [np.exp(2j * np.pi * np.outer(c, spec.axis_coords(a)))
+            for a, c in enumerate(coords)]
+    return mats, index
 
 
-def _contract(phases: list, coeffs: np.ndarray) -> np.ndarray:
+def _contract(plan: tuple, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs_k exp(2 pi i x . xi_k) over the whole grid.
 
-    The tensor structure of the grid turns this into one contraction of
-    the per-axis phase matrices."""
-    n = len(phases)
-    if n == 1:
-        return coeffs @ phases[0]
-    if n == 2:
-        return (coeffs[:, None] * phases[0]).T @ phases[1]
-    letters = "abcdefg"[:n]
-    return np.einsum(f"k,{','.join(f'k{c}' for c in letters)}->{letters}",
-                     coeffs, *phases)
+    The coefficients are scattered onto the (U_0, ..., U_{n-1}) core of
+    the plan, nodes sharing all coordinates adding up, and the core is
+    contracted with one phase matrix per axis (sum-factorization): the sum
+    over k of U_k ... U_{n-1} size_0 ... size_k complex multiply-adds
+    instead of K prod_a size_a."""
+    mats, index = plan
+    acc = np.zeros(tuple(len(q) for q in mats), dtype=np.complex128)
+    np.add.at(acc, index, coeffs)
+    for q in mats:
+        acc = np.tensordot(acc, q, axes=(0, 0))
+    return acc
 
 
 def slice_grid(stf: SpectralTestFunction, spec: gr.GridSpec,
@@ -177,7 +203,7 @@ def _node_slices(stf: SpectralTestFunction, cone: PolyhedralCone,
     derivative of F at x + i project(t) on the grid, lazily.
 
     The spectrum must lie in the dual cone, where the shared symbol's
-    |e_mu . xi| is e_mu . xi.  The phases are built once per call, the
+    |e_mu . xi| is e_mu . xi.  The plan is built once per call, the
     factor once per selector and the decay once per node.  A node's slices
     must be consumed before the next node is drawn."""
     if spec.n != stf.n:
@@ -189,12 +215,12 @@ def _node_slices(stf: SpectralTestFunction, cone: PolyhedralCone,
         raise SupportEscapesDualCone(
             f"spectral nodes leave the dual cone (min e . xi = {dots.min():.3e})"
         )
-    phases = _phases(spec, stf.nodes)
+    plan = _phases(spec, stf.nodes)
     base = stf.weights * stf.psi_vals
     coeffs = [base * gradient_factor(dots, sel) for sel in selectors]
     for t in lattice.nodes():
         decay = poisson_decay(dots, t)
-        yield (_contract(phases, c * decay) for c in coeffs)
+        yield (_contract(plan, c * decay) for c in coeffs)
 
 
 def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,

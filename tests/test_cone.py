@@ -67,6 +67,21 @@ class TestValidate:
         ]
         assert np.allclose(np.abs(dets), [1.0, SQ2 / 2, SQ2 / 2])
 
+    def test_subset_dets_match_per_subset_det(self):
+        cone, _ = draw_cone(6, 3, 5)
+        want = [abs(np.linalg.det(cone.generators[list(s)]))
+                for s in itertools.combinations(range(5), 3)]
+        assert [tuple(row) for row in cone.subsets] == list(itertools.combinations(range(5), 3))
+        assert np.allclose(cone.subset_dets, want, rtol=1e-14, atol=0.0)
+        for array in (cone.subsets, cone.subset_dets):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    def test_degenerate_subset_named(self):
+        # (0, 1) and (0, 2) are fine; generators 1 and 2 coincide
+        with pytest.raises(DegenerateSubset, match=r"subset \(1, 2\) has \|det\|=0\.000e\+00"):
+            cg.validate_cone([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+
     def test_not_unit(self):
         with pytest.raises(NotUnit):
             cg.validate_cone([[2.0, 0.0], [0.0, 1.0]])

@@ -216,6 +216,7 @@ class TestIO:
         assert back.spec == f.spec
         assert back.domain_tag == f.domain_tag
         assert np.array_equal(back.values, f.values)
+        assert back.values.flags.writeable
 
     def test_tgf_header_layout(self, tmp_path, spec1d):
         f = gr.GridFunction(spec1d, np.zeros(spec1d.sizes))
@@ -234,62 +235,27 @@ class TestIO:
         pairs[0::2], pairs[1::2] = f.values.real, f.values.imag
         assert path.read_bytes()[-pairs.nbytes:] == pairs.tobytes()
 
-    def test_channel_header_extends_scalar_header(self, tmp_path, spec1d):
-        vals = np.zeros((2, spec1d.sizes[0]), dtype=complex)
-        gr.write_tgf(tmp_path / "f.tgf", gr.GridFunction(spec1d, vals[0]))
-        gr.write_tgf_channels(tmp_path / "h.tgf", spec1d, vals)
-        scalar = (tmp_path / "f.tgf").read_bytes()
-        channels = (tmp_path / "h.tgf").read_bytes()
-        header = len(scalar) - 16 * spec1d.sizes[0]
-        assert channels[:4] == b"TGFH"
-        assert channels[4:header] == scalar[4:header]
-        assert int.from_bytes(channels[header:header + 4], "little") == 2
-
-    @pytest.mark.parametrize("channels", [False, True])
-    def test_truncated_payload(self, tmp_path, spec1d, channels):
+    def test_wrong_magic_rejected(self, tmp_path, spec1d):
         path = tmp_path / "f.tgf"
-        if channels:
-            gr.write_tgf_channels(path, spec1d, np.zeros((2, spec1d.sizes[0])))
-            expected, read = 2 * 16 * spec1d.sizes[0], gr.read_tgf_channels
-        else:
-            gr.write_tgf(path, random_grid(spec1d, 11))
-            expected, read = 16 * spec1d.sizes[0], gr.read_tgf
+        gr.write_tgf(path, random_grid(spec1d, 13))
+        path.write_bytes(b"TGFH" + path.read_bytes()[4:])
+        with pytest.raises(BadShape, match="not a TGF1 file: magic b'TGFH'"):
+            gr.read_tgf(path)
+
+    def test_truncated_payload(self, tmp_path, spec1d):
+        path = tmp_path / "f.tgf"
+        gr.write_tgf(path, random_grid(spec1d, 11))
         path.write_bytes(path.read_bytes()[:-5])
+        expected = 16 * spec1d.sizes[0]
         message = f"expected {expected} bytes, got {expected - 5}"
         with pytest.raises(BadShape, match=message):
-            read(path)
+            gr.read_tgf(path)
 
-    @pytest.mark.parametrize("channels", [False, True])
-    def test_unknown_domain_tag(self, tmp_path, spec1d, channels):
+    def test_unknown_domain_tag(self, tmp_path, spec1d):
         path = tmp_path / "f.tgf"
-        if channels:
-            gr.write_tgf_channels(path, spec1d, np.zeros((1, spec1d.sizes[0])))
-            read = gr.read_tgf_channels
-        else:
-            gr.write_tgf(path, random_grid(spec1d, 12))
-            read = gr.read_tgf
+        gr.write_tgf(path, random_grid(spec1d, 12))
         raw = bytearray(path.read_bytes())
         raw[4 + 4 + 4 + 8] = 7  # magic, n, one size, one box_half, then the tag
         path.write_bytes(bytes(raw))
         with pytest.raises(BadShape, match="unknown domain tag code 7"):
-            read(path)
-
-    def test_channels_round_trip(self, tmp_path, spec1d):
-        rng = np.random.default_rng(9)
-        vals = rng.normal(size=(3, spec1d.sizes[0])) * (1 + 0j)
-        path = tmp_path / "h.tgf"
-        gr.write_tgf_channels(path, spec1d, vals)
-        spec, back, tag = gr.read_tgf_channels(path)
-        assert spec == spec1d and tag == "space"
-        assert np.array_equal(back, vals)
-
-    def test_csv(self, tmp_path):
-        spec = gr.GridSpec(n=1, sizes=(16,), box_half=1.0)
-        f = gr.GridFunction(spec, np.arange(16) * (1 + 0j))
-        path = tmp_path / "f.csv"
-        gr.write_csv(path, f)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,re,im"
-        assert len(lines) == 17
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == [-1.0, 0.0, 0.0]
+            gr.read_tgf(path)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
 from tubeharm import spectral as sp
-from tubeharm.errors import QuadratureRevival, SupportEscapesDualCone
+from tubeharm.errors import OutOfMemoryBudget, QuadratureRevival, SupportEscapesDualCone
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,53 @@ class TestBoundaryGrid:
         n2 = gr.lp_norm(sp.boundary_grid(stf, spec2), 1)
         assert abs(n1 - n2) / n2 < 1e-3
 
+    def test_scattered_spectrum_with_repeated_node(self):
+        # no tensor structure: 200 nodes with 200 distinct coordinates per
+        # axis, and two of them at one point, whose terms must both count.
+        # Measured 1.1e-15 of the mass
+        rng = np.random.default_rng(3)
+        nodes = rng.uniform(0.5, 1.5, size=(200, 2))
+        nodes[-1] = nodes[0]
+        stf = sp.SpectralTestFunction(
+            nodes=nodes, weights=rng.uniform(0.5, 1.0, 200),
+            psi_vals=rng.normal(size=200) + 1j * rng.normal(size=200))
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
+        fb = sp.boundary_grid(stf, spec)
+        xs = spec.axis_coords(0)
+        for i, j in ((0, 0), (7, 31), (16, 3), (25, 20)):
+            z = np.array([xs[i], xs[j]], dtype=complex)
+            assert abs(fb.values[i, j] - sp.eval_f(stf, z)) < 1e-14 * stf.mass()
+
+    def test_oversized_core_refused(self, monkeypatch):
+        # 600 scattered nodes in 3-d span a 600^3 = 2.2e8 core, past the
+        # 2^27 budget: refused before the core is allocated
+        def allocate(*args):
+            raise AssertionError("the core was allocated")
+
+        monkeypatch.setattr(sp, "_contract", allocate)
+        rng = np.random.default_rng(4)
+        stf = sp.SpectralTestFunction(nodes=rng.uniform(1.0, 2.0, size=(600, 3)),
+                                      weights=np.ones(600), psi_vals=np.ones(600))
+        spec = gr.GridSpec(n=3, sizes=(16, 16, 16), box_half=4.0)
+        with pytest.raises(OutOfMemoryBudget, match="600 x 600 x 600 core") as caught:
+            sp.boundary_grid(stf, spec)
+        assert caught.value.needed == 600**3
+
+    def test_peak_memory_within_four_outputs(self, dual_b):
+        # the 168-per-axis bump (K = 14208) on 512^2: the contraction holds
+        # one 168 x 512 phase matrix per axis and a 168 x 512 intermediate
+        # beside the 4 MiB output; measured peak 8.3 MiB (summing over all
+        # K nodes held two K x 512 phase matrices, 337 MiB)
+        stf = sp.make_bump_psi(dual_b, [1.2, 1.2], 0.5, nodes_per_axis=168)
+        spec = gr.GridSpec(n=2, sizes=(512, 512), box_half=64.0)
+        tracemalloc.start()
+        try:
+            fb = sp.boundary_grid(stf, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * fb.values.nbytes
+
     @pytest.mark.parametrize("call", [
         lambda stf, cone, spec: sp.boundary_grid(stf, spec),
         lambda stf, cone, spec: sp.lift_field(
@@ -177,6 +225,23 @@ class TestLiftField:
             for i, j in ((0, 5), (16, 16)):
                 z = np.array([xs[i], xs[j]]) + 1j * y
                 assert abs(fld.values[row][i, j] - sp.eval_f(bump, z)) < 1e-14 * bump.mass()
+
+    def test_three_dimensional_bump_matches_eval(self):
+        # the identity cone is its own dual; 12 nodes per axis keep
+        # box 4 * node gap = 0.50 inside the revival limit.  Small t keeps
+        # |F| at the centre above a quarter of the mass, so decay alone
+        # cannot meet the bound.  Measured 8.5e-16 of the mass
+        cone = cg.validate_cone(np.eye(3))
+        stf = sp.make_bump_psi(cone.dual, [1.0, 1.0, 1.0], 0.5, nodes_per_axis=12)
+        spec = gr.GridSpec(n=3, sizes=(16, 16, 16), box_half=4.0)
+        lat = po.TLattice(m=3, t_min=0.05, levels=2)
+        heights = [np.zeros(3)] + [cg.project(cone, t) for t in lat.nodes()]
+        fields = [sp.boundary_grid(stf, spec).values, *sp.lift_field(stf, cone, lat, spec).values]
+        xs = spec.axis_coords(0)
+        for y, values in zip(heights, fields):
+            for i, j, k in ((0, 0, 0), (3, 15, 8), (8, 8, 8), (12, 1, 14)):
+                z = np.array([xs[i], xs[j], xs[k]]) + 1j * y
+                assert abs(values[i, j, k] - sp.eval_f(stf, z)) < 1e-14 * stf.mass()
 
     def test_reproducing_formula(self, cone_b):
         # flagship identity at reduced scale: the lift must equal the
