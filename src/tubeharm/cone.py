@@ -330,11 +330,6 @@ def zonotope_volume(cone: PolyhedralCone, t) -> float:
     return (2.0**cone.n) * float(cone.subset_dets @ t[cone.subsets].prod(axis=1))
 
 
-def nontangential_contains(cone: PolyhedralCone, x, beta: float, xp, t) -> bool:
-    """(x', t) lies in the aperture-beta region of x iff x' in R(x, beta*t)."""
-    return rect_contains(cone, TwistedRectangleQuery(np.asarray(x), np.asarray(t), beta), xp)
-
-
 def largest_subset(cone: PolyhedralCone, t) -> tuple:
     """Indices of the n largest radii; ties broken toward the
     lexicographically smallest index set."""

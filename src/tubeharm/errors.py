@@ -33,10 +33,6 @@ class ShapeMismatch(TubeharmError):
     """Grid functions live on incompatible grids."""
 
 
-class NonpositiveT(TubeharmError):
-    """A Poisson scale parameter must be strictly positive."""
-
-
 class EmptySelector(TubeharmError):
     """A gradient/parameter selector must be nonempty."""
 

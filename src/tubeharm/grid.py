@@ -6,15 +6,16 @@ transform approximates the continuous integral with the e^{-2 pi i x.xi}
 convention (Riemann sum, factor h^n); the inverse carries (1/(2L))^n per
 axis, so the round trip is the identity.
 
-A multiplier needs neither centring shift nor h^n factor.  The centred
-transforms are S fftn(S f) h^n and S ifftn(S g) / h^n, S the roll by
-size/2 on every axis.  Sizes are even, so S is its own inverse and
-fftn(S f) = (-1)^k fftn(f), ifftn((-1)^k g) = S ifftn(g) for the
-frequency index k; hence, exactly in real arithmetic,
+A Fourier symbol M is applied on the grid with neither centring shift
+nor h^n factor.  The centred transforms are S fftn(S f) h^n and
+S ifftn(S g) / h^n, S the roll by size/2 on every axis.  Sizes are even,
+so S is its own inverse and fftn(S f) = (-1)^k fftn(f),
+ifftn((-1)^k g) = S ifftn(g) for the frequency index k; hence, exactly in
+real arithmetic,
 
     fourier_inverse(M * fourier_forward(f)) = ifftn(fftn(f) * S M),
 
-with S M = `np.fft.ifftshift(M)`, the multiplier in FFT order.
+with S M = `np.fft.ifftshift(M)`, the symbol in FFT order.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class GridSpec:
         for s in self.sizes:
             if s < 16 or (s & (s - 1)) != 0:
                 raise BadShape("sizes must be powers of two, at least 16")
-        if self.box_half <= 0:
-            raise BadShape("box_half must be positive")
+        if not (0 < self.box_half < np.inf):  # NaN fails this too
+            raise BadShape(f"box_half must be finite and positive, got {self.box_half}")
         # isotropic grid: every axis shares one spacing
         spacings = {2.0 * self.box_half / s for s in self.sizes}
         if len(spacings) != 1:
@@ -92,9 +93,6 @@ class GridFunction:
         if self.domain_tag not in (DOMAIN_SPACE, DOMAIN_FREQ):
             raise BadShape(f"unknown domain tag {self.domain_tag!r}")
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.spec, self.values.copy(), self.domain_tag)
-
 
 def fourier_forward(f: GridFunction) -> GridFunction:
     if f.domain_tag != DOMAIN_SPACE:
@@ -112,21 +110,6 @@ def fourier_inverse(fhat: GridFunction) -> GridFunction:
     return GridFunction(fhat.spec, vals, DOMAIN_SPACE)
 
 
-def apply_multiplier(f: GridFunction, multiplier) -> GridFunction:
-    """inverse-transform(M(xi) * forward-transform(f)), computed without
-    shifts as ifftn(fftn(f) * ifftshift(M)) (see the module docstring).
-
-    `multiplier` holds M on the reciprocal lattice in centred order: any
-    array that broadcasts to the grid, such as one evaluated on
-    `spec.freqs()`.
-    """
-    if f.domain_tag != DOMAIN_SPACE:
-        raise ShapeMismatch("apply_multiplier expects a spatial function")
-    vals = np.fft.fftn(f.values)
-    vals *= np.fft.ifftshift(np.broadcast_to(multiplier, f.spec.sizes))
-    return GridFunction(f.spec, np.fft.ifftn(vals, out=vals), DOMAIN_SPACE)
-
-
 def lp_norm(f: GridFunction, p) -> float:
     """Discretized L^p norm: (h^n sum |f|^p)^(1/p); p = inf gives sup|f|."""
     mag = np.abs(f.values)
@@ -136,58 +119,6 @@ def lp_norm(f: GridFunction, p) -> float:
         raise BadShape("p must be 1, 2 or inf")
     cell = f.spec.h ** f.spec.n
     return float(require_finite(f.values, kahan_sum(mag**p)) * cell) ** (1.0 / p)
-
-
-def inner(f: GridFunction, g: GridFunction) -> complex:
-    if f.spec != g.spec:
-        raise ShapeMismatch("functions live on different grids")
-    cell = f.spec.h ** f.spec.n
-    prod = f.values * np.conj(g.values)
-    return complex(kahan_sum(prod.real) * cell, kahan_sum(prod.imag) * cell)
-
-
-def directional_fd(f: GridFunction, v, order: int = 1) -> GridFunction:
-    """Spectral derivative along the unit direction v: multiplier
-    (2 pi i v.xi)^order."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (f.spec.n,):
-        raise BadShape("direction has the wrong dimension")
-    if order not in (1, 2):
-        raise BadShape("order must be 1 or 2")
-
-    dot = sum(vk * xi for vk, xi in zip(v, f.spec.freqs()))
-    return apply_multiplier(f, (2j * np.pi * dot) ** order)
-
-
-def directional_fd_stencil(f: GridFunction, v, order: int = 1) -> GridFunction:
-    """Cross-validation path: central finite differences combined along
-    axis projections; second order accurate in h."""
-    v = np.asarray(v, dtype=float)
-    h = f.spec.h
-    vals = f.values
-
-    def axis_diff(a, k):
-        if k == 1:
-            return (np.roll(vals, -1, axis=a) - np.roll(vals, 1, axis=a)) / (2 * h)
-        return (
-            np.roll(vals, -1, axis=a) - 2 * vals + np.roll(vals, 1, axis=a)
-        ) / h**2
-
-    if order == 1:
-        out = sum(v[a] * axis_diff(a, 1) for a in range(f.spec.n))
-    elif order == 2:
-        out = np.zeros_like(vals)
-        for a in range(f.spec.n):
-            for b in range(f.spec.n):
-                if a == b:
-                    out += v[a] * v[b] * axis_diff(a, 2)
-                else:
-                    da = (np.roll(vals, -1, axis=a) - np.roll(vals, 1, axis=a)) / (2 * h)
-                    dab = (np.roll(da, -1, axis=b) - np.roll(da, 1, axis=b)) / (2 * h)
-                    out += v[a] * v[b] * dab
-    else:
-        raise BadShape("order must be 1 or 2")
-    return GridFunction(f.spec, out, DOMAIN_SPACE)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Directional and iterated Poisson transforms over a cone.
+"""Iterated Poisson fields over a t-lattice.
 
 The 1-d Poisson kernel along generator e_mu acts spectrally: its Fourier
-multiplier is exp(-2 pi t |e_mu . xi|), which is exact on the reciprocal
+symbol is exp(-2 pi t_mu |e_mu . xi|), which is exact on the reciprocal
 lattice, whereas the kernel itself has no grid-aligned support on
-non-axis lines.  Mixed space/scale gradients are extra multiplier
+non-axis lines.  The iterated Poisson integral over t in (R_+)^m
+multiplies the m symbols.  Mixed space/scale gradients are extra
 factors: 2 pi i (e_mu . xi) for the spatial choice and -2 pi |e_mu . xi|
-for the d/dt choice.
+for the d/dt choice.  `build_field` and `gradient_magnitude_sq_field`
+evaluate them at every node of a `TLattice`; for one scale t, with every
+t_mu = t, pass the one-node lattice `TLattice(m, t_min=t, levels=1)`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .errors import (
     BadShape,
     EmptySelector,
     LengthMismatch,
-    NonpositiveT,
     OutOfMemoryBudget,
     ShapeMismatch,
 )
@@ -55,8 +57,10 @@ class TLattice:
     def __post_init__(self):
         if self.m < 1 or self.levels < 1:
             raise BadShape("need m >= 1 and levels >= 1")
-        if self.t_min <= 0 or self.ratio <= 1:
-            raise BadShape("need t_min > 0 and ratio > 1")
+        # written so that NaN fails them
+        if not (0 < self.t_min < np.inf and 1 < self.ratio < np.inf):
+            raise BadShape(f"need finite t_min > 0 and ratio > 1, got "
+                           f"t_min={self.t_min}, ratio={self.ratio}")
         if self.levels**self.m > MAX_NODES:
             raise BadShape(
                 f"{self.levels}^{self.m} nodes exceed the cap {MAX_NODES}"
@@ -80,10 +84,6 @@ class TLattice:
     def indices(self):
         """Lexicographic multi-indices over levels (deterministic order)."""
         return itertools.product(range(self.levels), repeat=self.m)
-
-    def node(self, idx) -> np.ndarray:
-        vals = self.axis_values
-        return np.array([vals[k] for k in idx])
 
     def nodes(self) -> np.ndarray:
         vals = self.axis_values
@@ -122,10 +122,23 @@ def poisson_decay(dots, t) -> np.ndarray:
     return np.exp(-2.0 * np.pi * sum(t_mu * np.abs(d) for t_mu, d in zip(t, dots)))
 
 
+def _check_generator_indices(keys, m: int, what: str) -> None:
+    """Raise BadShape unless every key is an int in range(m), none
+    repeated."""
+    seen = set()
+    for key in keys:
+        if not isinstance(key, (int, np.integer)) or not 0 <= key < m:
+            raise BadShape(f"{what} {key!r} is not a generator index in range({m})")
+        if key in seen:
+            raise BadShape(f"{what} {key!r} is repeated (m = {m})")
+        seen.add(key)
+
+
 def gradient_factor(dots, selector: dict):
     """Mixed-gradient symbol: 2 pi i (e_mu . xi) for an X choice and
     -2 pi |e_mu . xi| for a T choice, multiplied over the selected mu
-    (1 for an empty selector)."""
+    (1 for an empty selector).  Each key must index `dots`."""
+    _check_generator_indices(selector, len(dots), "selector key")
     out = 1.0
     for mu, choice in sorted(selector.items()):
         if choice == X_CHOICE:
@@ -135,49 +148,6 @@ def gradient_factor(dots, selector: dict):
         else:
             raise BadShape(f"unknown gradient choice {choice!r}")
     return out
-
-
-def poisson_multiplier(spec: gr.GridSpec, cone: PolyhedralCone, t,
-                       subset=None) -> np.ndarray:
-    """Multiplier prod_mu exp(-2 pi t_mu |e_mu . xi|) on the lattice.
-
-    With `subset` given, only those parameters convolve (t indexed by
-    position in the subset)."""
-    t = np.asarray(t, dtype=float)
-    mus = list(range(cone.m)) if subset is None else list(subset)
-    if t.shape != (len(mus),):
-        raise LengthMismatch(f"expected {len(mus)} scales, got {t.shape}")
-    if np.any(t <= 0):
-        raise NonpositiveT("Poisson scales must be positive")
-    dots = _axis_dots(spec, cone)
-    return poisson_decay([dots[mu] for mu in mus], t)
-
-
-def directional_poisson(f: gr.GridFunction, cone: PolyhedralCone, mu: int,
-                        t_mu: float) -> gr.GridFunction:
-    """Poisson integral along the line e_mu at scale t_mu."""
-    if t_mu <= 0:
-        raise NonpositiveT(f"t_mu = {t_mu}")
-    return gr.apply_multiplier(
-        f, poisson_multiplier(f.spec, cone, [t_mu], subset=[mu])
-    )
-
-
-def iterated_poisson(f: gr.GridFunction, cone: PolyhedralCone,
-                     t) -> gr.GridFunction:
-    """Composition of the m directional Poisson integrals (one pass)."""
-    return gr.apply_multiplier(f, poisson_multiplier(f.spec, cone, t))
-
-
-def mixed_gradient(f: gr.GridFunction, cone: PolyhedralCone, t,
-                   selector: dict) -> gr.GridFunction:
-    """Selected mixed derivative of the full iterated Poisson field."""
-    if not selector:
-        raise EmptySelector("gradient selector must be nonempty")
-    mult = poisson_multiplier(f.spec, cone, t) * gradient_factor(
-        _axis_dots(f.spec, cone), selector
-    )
-    return gr.apply_multiplier(f, mult)
 
 
 @dataclass
@@ -257,7 +227,10 @@ def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
                 budget: int = DEFAULT_BUDGET) -> OperatorField:
     """Materialize the (optionally differentiated) Poisson field at
     every lattice node.  One forward transform; one inverse per node,
-    straight into the node's row."""
+    straight into the node's row.
+
+    `selector` maps generator indices in range(cone.m) to X_CHOICE or
+    T_CHOICE; the field is then that mixed derivative."""
     if lattice.m != cone.m:
         raise LengthMismatch("lattice parameter count != generator count")
     _check_budget(f.spec, cone, lattice, 1, lattice.node_count * f.spec.npoints, budget)
@@ -277,6 +250,8 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
     This is the scalar integrand of the area and g functions; `subset`
     restricts the convolution, the derivatives and the lattice to those
     parameters (the full set by default).  The field is real (float64)."""
+    if subset is not None:
+        _check_generator_indices(subset, cone.m, "subset entry")
     mus = list(range(cone.m)) if subset is None else sorted(subset)
     if not mus:
         raise EmptySelector("parameter subset must be nonempty")

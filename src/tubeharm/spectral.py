@@ -95,10 +95,10 @@ def make_bump_psi(dual: DualCone, center, radius: float, amplitude: float = 1.0,
     """
     center = np.asarray(center, dtype=float)
     n = center.size
-    if radius <= 0:
-        raise BadShape("radius must be positive")
+    if not (0 < radius < np.inf):  # NaN fails this too
+        raise BadShape(f"radius must be finite and positive, got {radius}")
     margins = dual.halfspaces @ center
-    if np.any(margins < radius - 1e-12):
+    if not np.all(margins >= radius - 1e-12):
         raise SupportEscapesDualCone(
             f"ball B(center, {radius}) leaves the dual cone "
             f"(min halfspace margin {margins.min():.6f})"

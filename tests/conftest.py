@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from tubeharm import cone as cone_mod
+from tubeharm import grid as gr
+from tubeharm import poisson as po
 
 SQ2 = np.sqrt(2.0)
 
@@ -22,3 +24,34 @@ def cone_b():
 @pytest.fixture(scope="session")
 def skew_cone():
     return cone_mod.validate_cone([[1.0, 0.0], [SQ2 / 2, SQ2 / 2]])
+
+
+@pytest.fixture(scope="session")
+def line_cone():
+    """The 1-d cone: one generator, for the Poisson integral on a line."""
+    return cone_mod.validate_cone([[1.0]])
+
+
+@pytest.fixture(scope="session")
+def poisson_at():
+    """The Poisson field of f at the one scale t_mu = t for every
+    generator (or its mixed derivative for `selector`), from the node
+    loop on a one-node lattice."""
+    def field(f, cone, t, selector=None):
+        lattice = po.TLattice(m=cone.m, t_min=t, levels=1)
+        return po.build_field(f, cone, lattice, selector=selector).node_function(0)
+    return field
+
+
+@pytest.fixture(scope="session")
+def centred():
+    """Reference for the node loop: fourier_inverse(M * fourier_forward(f))
+    on the centred frequency mesh, with M the Poisson symbol at the scales
+    t times the gradient factor of `selector`."""
+    def field(f, cone, t, selector=None):
+        xi = f.spec.freqs()
+        dots = [sum(g * x for g, x in zip(gen, xi)) for gen in cone.generators]
+        fhat = gr.fourier_forward(f)
+        fhat.values *= po.poisson_decay(dots, t) * po.gradient_factor(dots, selector or {})
+        return gr.fourier_inverse(fhat).values
+    return field

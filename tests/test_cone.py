@@ -333,21 +333,28 @@ class TestInclusionChain:
 
 
 class TestNontangential:
+    # (x', t) lies in the aperture-beta region of x iff x' in R(x, beta t)
+
     def test_center_always_inside(self, cone_b):
         rng = np.random.default_rng(1)
         for _ in range(50):
             t = rng.uniform(0.01, 3, size=3)
-            x = rng.normal(size=2)
-            assert cg.nontangential_contains(cone_b, x, 1.0, x, t)
+            x = rng.normal(size=(8, 2))
+            assert cg.rect_contains_many(cone_b, 1.0 * t, x - x).all()
 
     def test_aperture_monotone(self, cone_b):
+        # 1000 (t, x') pairs: 10 radii, 100 points each
         rng = np.random.default_rng(2)
         x = np.zeros(2)
-        for _ in range(1000):
+        inside = 0
+        for _ in range(10):
             t = rng.uniform(0.1, 1.0, size=3)
-            xp = rng.uniform(-4, 4, size=2)
-            if cg.nontangential_contains(cone_b, x, 1.0, xp, t):
-                assert cg.nontangential_contains(cone_b, x, 2.0, xp, t)
+            xp = rng.uniform(-4, 4, size=(100, 2))
+            narrow = cg.rect_contains_many(cone_b, 1.0 * t, xp - x)
+            wide = cg.rect_contains_many(cone_b, 2.0 * t, xp - x)
+            assert wide[narrow].all()
+            inside += np.count_nonzero(narrow)
+        assert inside > 0
 
 
 class TestLargestSubset:

@@ -42,3 +42,26 @@ def test_cauchy_szego_homogeneous_of_degree_minus_n(cone, data, lam):
     z = x + 1j * cg.project(cone, t)
     scaled, plain = cg.cauchy_szego(cone, np.stack([lam * z, z]))
     assert np.max(np.abs(scaled - lam ** (-cone.n) * plain) / np.abs(plain)) <= 1e-10
+
+
+@PROPERTY
+@given(cone=cones())
+def test_dual_rays_satisfy_every_halfspace(cone):
+    # an extreme ray of the dual lies in every halfspace e_j . v >= 0 and
+    # on the boundary of at least n - 1 of them
+    products = cone.dual.rays @ cone.generators.T
+    assert np.all(products >= -cg.RAY_TOL)
+    assert np.all(np.count_nonzero(np.abs(products) <= 1e-9, axis=1) >= cone.n - 1)
+
+
+@PROPERTY
+@given(cone=cones(), data=st.data())
+def test_parallelohedron_inside_zonotope(cone, data):
+    # points sum_j lam_j e_j over the n largest radii, |lam_j| up to
+    # 1.5 t_j: those in the parallelohedron must lie in R(0, t)
+    t = data.draw(arrays(float, cone.m, elements=st.floats(0.05, 5.0)))
+    frac = data.draw(arrays(float, (16, cone.n), elements=st.floats(-1.5, 1.5)))
+    subset = cg.largest_subset(cone, t)
+    xp = (frac * t[list(subset)]) @ cone.generators[list(subset)]
+    inside = [cg.parallelohedron_contains(cone, subset, np.zeros(cone.n), t, p) for p in xp]
+    assert np.all(cg.rect_contains_many(cone, t, xp)[inside])

@@ -1,6 +1,7 @@
 """Guards on the package as a whole: no empty modules, no exception
-class without a raiser, no console script that does not import, and no
-eager import of scipy.spatial or scipy.fft."""
+class without a raiser, no public function that only tests call, no
+console script that does not import, and no eager import of
+scipy.spatial or scipy.fft."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ from tubeharm import errors
 
 PACKAGE_DIR = Path(tubeharm.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "tubebench"
 
 
 def _modules():
@@ -51,6 +53,32 @@ def test_every_error_class_is_raised():
     ]
     assert classes
     assert [name for name in classes if name not in raised] == []
+
+
+def test_public_functions_have_a_non_test_caller():
+    # a name (or attribute) anywhere in the package or the benchmark other
+    # than the def itself counts as a caller.  The functions listed have
+    # none and are kept on purpose: the JSON and STF readers and writers
+    # are file-format API; the centred transforms are the tests' reference
+    # for the node loop, and the benchmark traces them by name (a string);
+    # the operators will decide the fate of the parallelohedron helpers
+    defined = set()
+    referenced = set()
+    for path in [*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        if path.parent == PACKAGE_DIR:
+            defined |= {node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined - referenced == {
+        "cone_from_json", "cone_to_json", "write_stf", "read_stf",
+        "fourier_forward", "fourier_inverse",
+        "parallelohedron_contains", "largest_subset",
+    }
 
 
 def test_console_scripts_import():

@@ -12,7 +12,6 @@ from tubeharm.errors import (
     EmptySelector,
     LengthMismatch,
     NonFiniteValues,
-    NonpositiveT,
     OutOfMemoryBudget,
     ShapeMismatch,
 )
@@ -51,152 +50,141 @@ class TestLattice:
         with pytest.raises(BadShape):
             po.TLattice(m=4, t_min=1.0, levels=9)  # 9^4 > 4096
 
+    @pytest.mark.parametrize("t_min, ratio", [
+        (0.0, 2.0), (-0.5, 2.0), (np.nan, 2.0), (np.inf, 2.0),
+        (0.5, 1.0), (0.5, np.nan), (0.5, np.inf),
+    ])
+    def test_bad_scales_refused(self, t_min, ratio):
+        with pytest.raises(BadShape, match=f"got t_min={t_min}, ratio={ratio}"):
+            po.TLattice(m=2, t_min=t_min, ratio=ratio, levels=3)
+
     def test_default_anchored_at_2h(self, spec):
         lat = po.default_lattice(spec, m=3, levels=4)
         assert lat.t_min == 2 * spec.h
 
 
 class TestDirectional:
-    def test_approximate_identity(self, spec, cone_b):
-        x1, _ = spec.coords()
-        f = gr.GridFunction(spec, np.cos(2 * np.pi * x1 / 16.0) * np.ones(spec.sizes))
-        out = po.directional_poisson(f, cone_b, 0, spec.h / 100)
+    # one generator: the 1-d cone on a line
+
+    def test_approximate_identity(self, line_cone, poisson_at):
+        spec = gr.GridSpec(n=1, sizes=(128,), box_half=8.0)
+        (x,) = spec.coords()
+        f = gr.GridFunction(spec, np.cos(2 * np.pi * x / 16.0))
+        out = poisson_at(f, line_cone, spec.h / 100)
         assert np.max(np.abs(out.values - f.values)) < 1e-3
 
-    def test_semigroup(self, spec, cone_b, gaussian):
+    def test_semigroup(self, line_cone, poisson_at):
+        spec = gr.GridSpec(n=1, sizes=(128,), box_half=8.0)
+        (x,) = spec.coords()
+        f = gr.GridFunction(spec, np.exp(-(x**2)))
         s, t = 0.3, 0.45
-        twice = po.directional_poisson(
-            po.directional_poisson(gaussian, cone_b, 2, s), cone_b, 2, t
-        )
-        once = po.directional_poisson(gaussian, cone_b, 2, s + t)
+        twice = poisson_at(poisson_at(f, line_cone, s), line_cone, t)
+        once = poisson_at(f, line_cone, s + t)
         assert np.max(np.abs(twice.values - once.values)) < 1e-12
 
-    def test_axis_trapezoid_oracle(self, axis_cone):
-        spec = gr.GridSpec(n=2, sizes=(256, 256), box_half=32.0)
-        x1, x2 = spec.coords()
-        f = gr.GridFunction(spec, np.exp(-(x1**2 + x2**2)))
+    def test_axis_trapezoid_oracle(self, line_cone, poisson_at):
+        spec = gr.GridSpec(n=1, sizes=(256,), box_half=32.0)
+        (x,) = spec.coords()
+        f = gr.GridFunction(spec, np.exp(-(x**2)))
         t = 0.5
-        out = po.directional_poisson(f, axis_cone, 0, t)
+        out = poisson_at(f, line_cone, t)
         s = np.linspace(-30, 30, 60001)
         kernel = t / (np.pi * (t**2 + s**2))
         xs = spec.axis_coords(0)
-        j = spec.sizes[1] // 2  # row through the center
         for i in range(96, 161, 16):
-            direct = np.trapezoid(
-                np.exp(-((xs[i] - s) ** 2 + xs[j] ** 2)) * kernel, s
-            )
-            assert abs(out.values[i, j].real - direct) < 1e-3
+            direct = np.trapezoid(np.exp(-((xs[i] - s) ** 2)) * kernel, s)
+            assert abs(out.values[i].real - direct) < 1e-3
 
-    def test_real_preserved(self, spec, cone_b, gaussian):
-        out = po.directional_poisson(gaussian, cone_b, 2, 0.7)
+    def test_real_preserved(self, cone_b, gaussian, poisson_at):
+        # every generator of cone_b, the diagonal one among them
+        out = poisson_at(gaussian, cone_b, 0.7)
         assert np.max(np.abs(out.values.imag)) < 1e-13
-
-    def test_nonpositive_t(self, spec, cone_b, gaussian):
-        with pytest.raises(NonpositiveT):
-            po.directional_poisson(gaussian, cone_b, 0, 0.0)
 
 
 class TestIterated:
-    def test_small_t_identity(self, spec, cone_b):
+    def test_small_t_identity(self, spec, cone_b, poisson_at):
         x1, _ = spec.coords()
         f = gr.GridFunction(spec, np.cos(2 * np.pi * x1 / 16.0) * np.ones(spec.sizes))
-        out = po.iterated_poisson(f, cone_b, [spec.h / 300] * 3)
+        out = poisson_at(f, cone_b, spec.h / 300)
         assert np.max(np.abs(out.values - f.values)) < 1e-3
 
-    def test_order_permutation(self, spec, cone_b, gaussian):
-        t = [0.3, 0.5, 0.8]
-        orders = [(0, 1, 2), (2, 0, 1)]
-        results = []
-        for order in orders:
-            g = gaussian
-            for mu in order:
-                g = po.directional_poisson(g, cone_b, mu, t[mu])
-            results.append(g.values)
-        assert np.max(np.abs(results[0] - results[1])) < 1e-12
-
-    def test_single_pass_equals_composition(self, spec, cone_b, gaussian):
-        t = [0.3, 0.5, 0.8]
-        one = po.iterated_poisson(gaussian, cone_b, t)
-        g = gaussian
-        for mu in range(3):
-            g = po.directional_poisson(g, cone_b, mu, t[mu])
-        assert np.max(np.abs(one.values - g.values)) < 1e-12
-
-    def test_mass_preserved_nonnegative(self, spec, cone_b, gaussian):
+    def test_mass_preserved_nonnegative(self, cone_b, gaussian, poisson_at):
         before = gr.lp_norm(gaussian, 1)
-        after = gr.lp_norm(po.iterated_poisson(gaussian, cone_b, [0.4, 0.4, 0.4]), 1)
+        after = gr.lp_norm(poisson_at(gaussian, cone_b, 0.4), 1)
         assert abs(after - before) / before < 1e-3
 
     def test_multiplier_bound(self, spec, cone_b):
         lat = po.default_lattice(spec, m=3, levels=4)
-        for idx in lat.indices():
-            mult = po.poisson_multiplier(spec, cone_b, lat.node(idx))
-            assert np.all(mult.real > 0) and np.all(mult.real <= 1.0)
+        dots = po._axis_dots(spec, cone_b)
+        for t in lat.nodes():
+            mult = po.poisson_decay(dots, t)
+            assert np.all(mult > 0) and np.all(mult <= 1.0)
             k0 = spec.sizes[0] // 2
             assert mult[k0, k0] == 1.0
 
-    def test_length_mismatch(self, spec, cone_b, gaussian):
+    def test_length_mismatch(self, cone_b, gaussian):
         with pytest.raises(LengthMismatch):
-            po.iterated_poisson(gaussian, cone_b, [0.1, 0.2])
+            po.build_field(gaussian, cone_b, po.TLattice(m=2, t_min=0.1, levels=1))
 
 
 class TestMixedGradient:
-    def test_x_choice_is_axis_derivative(self, spec, axis_cone, gaussian):
-        t = [0.4, 0.6]
-        smoothed = po.iterated_poisson(gaussian, axis_cone, t)
-        via_sel = po.mixed_gradient(gaussian, axis_cone, t, {0: po.X_CHOICE})
-        direct = gr.directional_fd(smoothed, [1.0, 0.0], order=1)
-        assert np.max(np.abs(via_sel.values - direct.values)) < 1e-12
+    def test_x_choice_is_axis_derivative(self, axis_cone, gaussian, centred):
+        # the rows of a 2-level lattice include t = (0.4, 0.6); the axis
+        # derivative is the centred symbol 2 pi i xi_1 at t = 0
+        lat = po.TLattice(m=2, t_min=0.4, ratio=1.5, levels=2)
+        smoothed = po.build_field(gaussian, axis_cone, lat)
+        via_sel = po.build_field(gaussian, axis_cone, lat, selector={0: po.X_CHOICE})
+        for row in range(lat.node_count):
+            direct = centred(smoothed.node_function(row), axis_cone, [0.0, 0.0],
+                             {0: po.X_CHOICE})
+            assert np.max(np.abs(via_sel.values[row] - direct)) < 1e-12
 
-    def test_t_choice_vs_finite_difference(self, spec, cone_b, gaussian):
-        t = np.array([0.4, 0.5, 0.6])
-        mu = 2
-        exact = po.mixed_gradient(gaussian, cone_b, t, {mu: po.T_CHOICE})
+    def test_t_choice_vs_finite_difference(self, cone_b, gaussian):
+        # on the 3-level lattice t_mu in {t / r, t, t r}, the rows that
+        # move t_2 alone are a central difference, second order in r - 1
+        t, mu = 0.5, 2
         errs = []
-        for dt in (t[mu] / 100, t[mu] / 200):
-            up, dn = t.copy(), t.copy()
-            up[mu] += dt
-            dn[mu] -= dt
-            fd = (
-                po.iterated_poisson(gaussian, cone_b, up).values
-                - po.iterated_poisson(gaussian, cone_b, dn).values
-            ) / (2 * dt)
-            errs.append(np.max(np.abs(fd - exact.values)))
+        for dt in (t / 100, t / 200):
+            r = 1 + dt / t
+            lat = po.TLattice(m=3, t_min=t / r, ratio=r, levels=3)
+            rows = {idx: row for row, idx in enumerate(lat.indices())}
+            plain = po.build_field(gaussian, cone_b, lat).values
+            exact = po.build_field(gaussian, cone_b, lat, selector={mu: po.T_CHOICE})
+            fd = (plain[rows[1, 1, 2]] - plain[rows[1, 1, 0]]) / (t * r - t / r)
+            errs.append(np.max(np.abs(fd - exact.values[rows[1, 1, 1]])))
         order = np.log2(errs[0] / errs[1])
         assert order > 1.8
 
-    def test_harmonicity(self, spec, cone_b, gaussian):
-        # second X and second T passes computed separately; their sum
-        # must vanish to rounding
+    def test_harmonicity(self, cone_b, gaussian, poisson_at):
+        # two X and two T passes along one generator at t/2 each, with
+        # every generator convolving; their sum must vanish to rounding
+        t = 0.5
         for mu in range(3):
-            t_mu = 0.5
-            u = po.directional_poisson(gaussian, cone_b, mu, t_mu)
-            xx = gr.directional_fd(u, cone_b.generators[mu], order=2)
-            dots = po._axis_dots(spec, cone_b)[mu]
-            tt = gr.apply_multiplier(
-                u, (2 * np.pi * np.abs(dots)) ** 2 * np.ones(spec.sizes) + 0j
-            )
+            xx, tt = (poisson_at(poisson_at(gaussian, cone_b, t / 2, {mu: c}),
+                                 cone_b, t / 2, {mu: c})
+                      for c in (po.X_CHOICE, po.T_CHOICE))
             resid = np.max(np.abs(xx.values + tt.values))
             assert resid < 1e-6 * np.max(np.abs(gaussian.values))
 
-    def test_empty_selector(self, spec, cone_b, gaussian):
+    def test_empty_selector(self, cone_b, gaussian):
+        lat = po.TLattice(m=3, t_min=0.3, levels=1)
         with pytest.raises(EmptySelector):
-            po.mixed_gradient(gaussian, cone_b, [0.3, 0.3, 0.3], {})
+            po.gradient_magnitude_sq_field(gaussian, cone_b, lat, subset=())
 
 
 class TestBuildField:
-    def test_single_node(self, spec, cone_b, gaussian):
+    def test_single_node(self, cone_b, gaussian, centred):
         lat = po.TLattice(m=3, t_min=0.5, levels=1)
         fld = po.build_field(gaussian, cone_b, lat)
-        ref = po.iterated_poisson(gaussian, cone_b, [0.5] * 3)
-        assert np.max(np.abs(fld.values[0] - ref.values)) < 1e-12
+        ref = centred(gaussian, cone_b, [0.5] * 3)
+        assert np.max(np.abs(fld.values[0] - ref)) < 1e-12
 
-    def test_nodes_match_fresh_calls(self, spec, cone_b, gaussian):
+    def test_nodes_match_fresh_calls(self, cone_b, gaussian, centred):
         lat = po.TLattice(m=3, t_min=0.4, ratio=2.0, levels=2)
         fld = po.build_field(gaussian, cone_b, lat)
-        for row, idx in enumerate(lat.indices()):
-            ref = po.iterated_poisson(gaussian, cone_b, lat.node(idx))
-            assert np.max(np.abs(fld.values[row] - ref.values)) < 1e-12
+        for row, t in enumerate(lat.nodes()):
+            ref = centred(gaussian, cone_b, t)
+            assert np.max(np.abs(fld.values[row] - ref)) < 1e-12
 
     def test_monotone_sup_for_nonnegative(self, spec, cone_b, gaussian):
         lat = po.TLattice(m=3, t_min=0.3, ratio=2.0, levels=3)
@@ -248,7 +236,7 @@ class TestBuildField:
         with pytest.raises(ShapeMismatch):
             po.build_field(gr.fourier_forward(gaussian), cone_b, lat)
 
-    def test_selector_nodes_match_centred_definition(self, cone_b):
+    def test_selector_nodes_match_centred_definition(self, cone_b, centred):
         # an off-centre, non-symmetric input and an odd X factor, against
         # fourier_inverse(M * fourier_forward(f)); h = 3/8 is not a power
         # of two, so the h^n factors the node loop drops show too
@@ -258,11 +246,8 @@ class TestBuildField:
         lat = po.TLattice(m=3, t_min=0.5, ratio=2.0, levels=2)
         selector = {0: po.X_CHOICE, 2: po.T_CHOICE}
         fld = po.build_field(f, cone_b, lat, selector=selector)
-        factor = po.gradient_factor(po._axis_dots(spec, cone_b), selector)
-        for row, idx in enumerate(lat.indices()):
-            fhat = gr.fourier_forward(f)
-            fhat.values *= po.poisson_multiplier(spec, cone_b, lat.node(idx)) * factor
-            want = gr.fourier_inverse(fhat).values
+        for row, t in enumerate(lat.nodes()):
+            want = centred(f, cone_b, t, selector)
             assert np.max(np.abs(fld.values[row] - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_gradient_magnitude_field_matches_components(self, cone_b):
@@ -276,14 +261,34 @@ class TestBuildField:
             sub_cone = cg.validate_cone(cone_b.generators[list(mus)])
             lat = po.TLattice(m=sub_cone.m, t_min=0.5, levels=2)
             fld = po.gradient_magnitude_sq_field(f, cone_b, lat, subset=subset)
-            for row, idx in enumerate(lat.indices()):
-                t = lat.node(idx)
-                acc = np.zeros(spec.sizes)
-                for choices in itertools.product("XT", repeat=sub_cone.m):
-                    sel = {mu: c for mu, c in enumerate(choices)}
-                    comp = po.mixed_gradient(f, sub_cone, t, sel)
-                    acc += np.abs(comp.values) ** 2
-                assert np.max(np.abs(fld.values[row].real - acc)) < 1e-10 * acc.max()
+            acc = np.zeros(fld.values.shape)
+            for choices in itertools.product("XT", repeat=sub_cone.m):
+                sel = {mu: c for mu, c in enumerate(choices)}
+                acc += np.abs(po.build_field(f, sub_cone, lat, selector=sel).values) ** 2
+            for row in range(lat.node_count):
+                assert np.max(np.abs(fld.values[row] - acc[row])) < 1e-10 * acc[row].max()
+
+
+class TestGeneratorIndices:
+    # cone_b has m = 3: -1 must not wrap round to generator 2, and 3 must
+    # not reach a bare IndexError
+
+    @pytest.mark.parametrize("key", [-1, 3])
+    def test_selector_key_refused(self, cone_b, gaussian, key):
+        lat = po.TLattice(m=3, t_min=0.5, levels=1)
+        with pytest.raises(BadShape, match=rf"selector key {key} is not a generator "
+                                           rf"index in range\(3\)"):
+            po.build_field(gaussian, cone_b, lat, selector={key: po.X_CHOICE})
+
+    @pytest.mark.parametrize("subset, message", [
+        ((-1, 0), r"subset entry -1 is not a generator index in range\(3\)"),
+        ((0, 3), r"subset entry 3 is not a generator index in range\(3\)"),
+        ((0, 0), r"subset entry 0 is repeated \(m = 3\)"),
+    ])
+    def test_subset_entry_refused(self, cone_b, gaussian, subset, message):
+        lat = po.TLattice(m=2, t_min=0.5, levels=1)
+        with pytest.raises(BadShape, match=message):
+            po.gradient_magnitude_sq_field(gaussian, cone_b, lat, subset=subset)
 
 
 class TestDecayBound:
@@ -292,8 +297,8 @@ class TestDecayBound:
         fld = po.build_field(gaussian, cone_b, lat)
         l1 = gr.lp_norm(gaussian, 1)
         cs = []
-        for row, idx in enumerate(lat.indices()):
-            vol = cg.zonotope_volume(cone_b, lat.node(idx))
+        for row, t in enumerate(lat.nodes()):
+            vol = cg.zonotope_volume(cone_b, t)
             cs.append(np.max(np.abs(fld.values[row])) * vol / l1)
         assert max(cs) < 10.0
 

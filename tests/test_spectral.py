@@ -8,7 +8,8 @@ from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
 from tubeharm import spectral as sp
-from tubeharm.errors import OutOfMemoryBudget, QuadratureRevival, SupportEscapesDualCone
+from tubeharm.errors import (BadShape, OutOfMemoryBudget, QuadratureRevival,
+                             SupportEscapesDualCone)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,15 @@ class TestMakeBump:
     def test_boundary_rejected(self, dual_b):
         with pytest.raises(SupportEscapesDualCone):
             sp.make_bump_psi(dual_b, [1.0, 0.05], 0.3)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.3, np.nan, np.inf])
+    def test_bad_radius_refused(self, dual_b, radius):
+        with pytest.raises(BadShape, match=f"radius must be finite and positive, got {radius}"):
+            sp.make_bump_psi(dual_b, [1.2, 1.2], radius)
+
+    def test_nonfinite_center_refused(self, dual_b):
+        with pytest.raises(SupportEscapesDualCone, match="min halfspace margin nan"):
+            sp.make_bump_psi(dual_b, [np.nan, 1.2], 0.3)
 
     def test_integral_vs_refined_quadrature(self, dual_b, bump):
         # the bump is flat-but-singular at its boundary, so tensor GL
@@ -220,8 +230,8 @@ class TestLiftField:
         lat = po.TLattice(m=3, t_min=0.5, levels=2)
         fld = sp.lift_field(bump, cone_b, lat, spec)
         xs = spec.axis_coords(0)
-        for row, idx in enumerate(lat.indices()):
-            y = cg.project(cone_b, lat.node(idx))
+        for row, t in enumerate(lat.nodes()):
+            y = cg.project(cone_b, t)
             for i, j in ((0, 5), (16, 16)):
                 z = np.array([xs[i], xs[j]]) + 1j * y
                 assert abs(fld.values[row][i, j] - sp.eval_f(bump, z)) < 1e-14 * bump.mass()
@@ -254,7 +264,7 @@ class TestLiftField:
         # 8.6 on 128^2).  So the bump profile is sampled on the lattice
         # k/16 inside B((0.8, 0.8), 0.35) with weights (2L)^-2 (K = 98):
         # F^b is then the exact periodisation (Poisson summation).
-        # Measured worst residual 1.8e-11; box 8 * node gap 1/16 = 0.5.
+        # Measured worst residual 6.9e-12; box 8 * node gap 1/16 = 0.5.
         spec = gr.GridSpec(n=2, sizes=(64, 64), box_half=8.0)
         center, radius = np.array([0.8, 0.8]), 0.35
         mesh = np.meshgrid(spec.freq_axis(0), spec.freq_axis(1), indexing="ij")
@@ -268,10 +278,9 @@ class TestLiftField:
         )
         lat = po.TLattice(m=3, t_min=2 * spec.h, levels=3)
         lifted = sp.lift_field(stf, cone_b, lat, spec)
-        fb = sp.boundary_grid(stf, spec)
+        pois = po.build_field(sp.boundary_grid(stf, spec), cone_b, lat)
         for row, idx in enumerate(lat.indices()):
-            pois = po.iterated_poisson(fb, cone_b, lat.node(idx))
-            num = np.max(np.abs(lifted.values[row] - pois.values))
+            num = np.max(np.abs(lifted.values[row] - pois.values[row]))
             den = np.max(np.abs(lifted.values[row]))
             assert num / den < 1e-3, f"node {idx}: {num / den:.2e}"
 
@@ -299,6 +308,15 @@ class TestLiftField:
         lat = po.TLattice(m=3, t_min=0.5, levels=1)
         with pytest.raises(SupportEscapesDualCone, match="-2.000e-01"):
             call(stf, cone_b, lat, spec)
+
+    @pytest.mark.parametrize("key", [-1, 3])
+    def test_selector_key_refused(self, bump, cone_b, key):
+        # m = 3: -1 must not wrap round to generator 2
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=8.0)
+        lat = po.TLattice(m=3, t_min=0.5, levels=1)
+        with pytest.raises(BadShape, match=rf"selector key {key} is not a generator "
+                                           rf"index in range\(3\)"):
+            sp.lift_field(bump, cone_b, lat, spec, selector={key: po.X_CHOICE})
 
     def test_hidden_parameter_consistency(self, bump, cone_b):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
