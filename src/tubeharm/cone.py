@@ -165,8 +165,10 @@ class TwistedRectangleQuery:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.t = np.asarray(self.t, dtype=float)
-        if self.beta <= 0 or np.any(self.t <= 0):
-            raise BadShape("radii and aperture must be strictly positive")
+        # written so that NaN and infinity fail it
+        if not (0 < self.beta < np.inf and np.all((0 < self.t) & (self.t < np.inf))):
+            raise BadShape(f"radii and aperture must be finite and positive, got "
+                           f"t={self.t}, beta={self.beta}")
 
 
 def validate_cone(generators) -> PolyhedralCone:
@@ -243,19 +245,28 @@ def dual_rays(cone: PolyhedralCone) -> DualCone:
     return cone.dual
 
 
-def zonotope_support(cone: PolyhedralCone, radii) -> np.ndarray:
-    """Support values h(nu) = sum_mu u_mu |nu . e_mu| per facet normal."""
+def _radii(cone: PolyhedralCone, radii, positive: bool = True) -> np.ndarray:
+    """`radii` as floats of shape (m,), else LengthMismatch; with
+    `positive`, also finite and > 0, else BadShape."""
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (cone.m,):
         raise LengthMismatch(f"expected {cone.m} radii, got {radii.shape}")
-    return cone.support_matrix.dot(radii)
+    # written so that NaN fails it
+    if positive and not (0 < radii.min() and radii.max() < np.inf):
+        raise BadShape(f"radii must be finite and positive, got {radii}")
+    return radii
 
 
-def _member_bound(cone: PolyhedralCone, radii) -> np.ndarray:
+def zonotope_support(cone: PolyhedralCone, radii) -> np.ndarray:
+    """Support values h(nu) = sum_mu u_mu |nu . e_mu| per facet normal."""
+    return cone.support_matrix.dot(_radii(cone, radii))
+
+
+def _member_bound(support: np.ndarray) -> np.ndarray:
     """Support values relaxed by the membership margin: the open
     zonotope is tested as a closed one plus MEMBER_MARGIN + 1e-10 h(nu)
     (boundary points are measure zero for every quadrature downstream)."""
-    return zonotope_support(cone, radii) * (1.0 + 1e-10) + MEMBER_MARGIN
+    return support * (1.0 + 1e-10) + MEMBER_MARGIN
 
 
 def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> bool:
@@ -265,7 +276,9 @@ def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> boo
     _member_bound.
     """
     b = np.asarray(xp, dtype=float) - query.x
-    bound = _member_bound(cone, query.beta * query.t)
+    # the query has checked beta and t: only their count is left
+    radii = _radii(cone, query.beta * query.t, positive=False)
+    bound = _member_bound(cone.support_matrix.dot(radii))
     # .dot and count_nonzero cost a third of @ and all() on arrays this small
     inside = np.abs(cone.facet_normals.dot(b)) <= bound
     return np.count_nonzero(inside) == inside.size
@@ -274,7 +287,7 @@ def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> boo
 def rect_contains_many(cone: PolyhedralCone, radii, offsets) -> np.ndarray:
     """Vectorized membership of offset rows in R(0, radii)."""
     offsets = np.asarray(offsets, dtype=float)
-    bound = _member_bound(cone, radii)
+    bound = _member_bound(zonotope_support(cone, radii))
     return np.all(np.abs(offsets @ cone.facet_normals.T) <= bound, axis=-1)
 
 
@@ -286,7 +299,7 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
     for s in [lo, hi]; lo > hi marks an empty row.
     """
     transverse = np.asarray(transverse, dtype=float)
-    bound = _member_bound(cone, radii)
+    bound = _member_bound(zonotope_support(cone, radii))
     lo = np.full(transverse.shape[0], -np.inf)
     hi = np.full(transverse.shape[0], np.inf)
     for nu, b in zip(cone.facet_normals, bound):
@@ -324,9 +337,7 @@ def parallelohedron_contains(cone: PolyhedralCone, subset, x, r, xp) -> bool:
 
 def zonotope_volume(cone: PolyhedralCone, t) -> float:
     """Exact volume of R(0, t): 2^n sum_l prod_{j in l} t_j |det e_l|."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (cone.m,):
-        raise LengthMismatch(f"expected {cone.m} radii, got {t.shape}")
+    t = _radii(cone, t)
     return (2.0**cone.n) * float(cone.subset_dets @ t[cone.subsets].prod(axis=1))
 
 

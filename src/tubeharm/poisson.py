@@ -9,6 +9,16 @@ factors: 2 pi i (e_mu . xi) for the spatial choice and -2 pi |e_mu . xi|
 for the d/dt choice.  `build_field` and `gradient_magnitude_sq_field`
 evaluate them at every node of a `TLattice`; for one scale t, with every
 t_mu = t, pass the one-node lattice `TLattice(m, t_min=t, levels=1)`.
+
+Sign cells: where e_mu . xi != 0 the T factor is the X factor times
+i sgn(e_mu . xi), and where it is 0 both vanish.  With v_sigma the all-X
+component cut to the cell {sgn(e_mu . xi) = sigma_mu for every mu}, each
+component is sum_sigma c_sigma v_sigma with unimodular c_sigma that are
+orthogonal over the 2^m choices, so exactly
+    sum over choices |component|^2 = 2^m sum_sigma |v_sigma|^2.
+At most 2 sum_{k<n} C(m-1, k) cells are nonempty (6 of 8 for the axes
+and the diagonal of the plane); a spectrum in the closed dual cone fills
+one.
 """
 
 from __future__ import annotations
@@ -171,12 +181,6 @@ class OperatorField:
         return gr.GridFunction(self.spec, self.values[row])
 
 
-def gradient_selectors(mus) -> list:
-    """All 2^|mus| selectors with one X or T choice per parameter."""
-    return [dict(zip(mus, choices))
-            for choices in itertools.product((X_CHOICE, T_CHOICE), repeat=len(mus))]
-
-
 def _check_budget(spec: gr.GridSpec, cone: PolyhedralCone, lattice: TLattice,
                   spectra: int, output: float, budget: int) -> None:
     """Raise OutOfMemoryBudget unless the node loop's peak fits `budget`.
@@ -194,32 +198,43 @@ def _check_budget(spec: gr.GridSpec, cone: PolyhedralCone, lattice: TLattice,
         )
 
 
-def _node_spectra(f: gr.GridFunction, cone: PolyhedralCone,
-                  lattice: TLattice, mus, selectors):
-    """Per lattice node in row order, yield the spectra of f times the
-    decay over `mus` and each selector's factor, lazily.
+def _node_spectra(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
+                  mus, selector, output: float, budget: int):
+    """Check the budget (`output` is the caller's share), then return an
+    iterator over the lattice nodes in row order that yields each node's
+    spectra lazily: f times the decay over `mus` and `selector`'s factor,
+    or for `selector` None the all-X factor cut by sign cell.
 
     Spectra are unscaled and in FFT order, so by the shift identity of
     the `grid` module docstring `np.fft.ifftn` of one is the component in
-    space.  One forward transform per call, the factor once per selector,
-    and per node a product of m decay tables, one per generator and
-    level.  All spectra share one buffer: each must be consumed before
-    the next is drawn."""
+    space.  One forward transform per call, and per node a product of m
+    decay tables.  All spectra share one buffer: each must be consumed
+    before the next is drawn."""
     if f.domain_tag != gr.DOMAIN_SPACE:
         raise ShapeMismatch("the Poisson field needs a spatial function")
     require_finite(f.values, f.values.sum())
-    fhat = np.fft.fftn(f.values)
     dots = [np.fft.ifftshift(d) for d in _axis_dots(f.spec, cone)]
-    weighted = [fhat * gradient_factor(dots, sel) for sel in selectors]
+    masks = [None]
+    if selector is None:
+        # bit k: e_mu . xi > 0 for mu = mus[k].  np.unique would import numpy.ma
+        code = sum((dots[mu] > 0).astype(np.intp) << k for k, mu in enumerate(mus))
+        masks = [code == c for c in np.flatnonzero(np.bincount(code.ravel()))]
+        selector = dict.fromkeys(mus, X_CHOICE)
+    _check_budget(f.spec, cone, lattice, len(masks), output, budget)
+    product = np.fft.fftn(f.values) * gradient_factor(dots, selector)
+    weighted = [product if mask is None else product * mask for mask in masks]
     tables = [[poisson_decay([dots[mu]], [v]) for v in lattice.axis_values]
               for mu in mus]
-    decay = np.empty(f.spec.sizes)
-    spectrum = np.empty(f.spec.sizes, dtype=np.complex128)
-    for idx in lattice.indices():
-        decay[...] = tables[0][idx[0]]
-        for table, k in zip(tables[1:], idx[1:]):
-            decay *= table[k]
-        yield (np.multiply(w, decay, out=spectrum) for w in weighted)
+
+    def nodes():
+        decay = np.empty(f.spec.sizes)
+        spectrum = np.empty(f.spec.sizes, dtype=np.complex128)
+        for idx in lattice.indices():
+            decay[...] = tables[0][idx[0]]
+            for table, k in zip(tables[1:], idx[1:]):
+                decay *= table[k]
+            yield (np.multiply(w, decay, out=spectrum) for w in weighted)
+    return nodes()
 
 
 def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
@@ -233,9 +248,9 @@ def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
     T_CHOICE; the field is then that mixed derivative."""
     if lattice.m != cone.m:
         raise LengthMismatch("lattice parameter count != generator count")
-    _check_budget(f.spec, cone, lattice, 1, lattice.node_count * f.spec.npoints, budget)
     out = np.empty((lattice.node_count, *f.spec.sizes), dtype=np.complex128)
-    nodes = _node_spectra(f, cone, lattice, range(cone.m), [selector or {}])
+    nodes = _node_spectra(f, cone, lattice, range(cone.m), selector or {},
+                          lattice.node_count * f.spec.npoints, budget)
     for row, (spectrum,) in enumerate(nodes):
         np.fft.ifftn(spectrum, out=out[row])
     return OperatorField(lattice=lattice, spec=f.spec, values=out,
@@ -249,7 +264,8 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
 
     This is the scalar integrand of the area and g functions; `subset`
     restricts the convolution, the derivatives and the lattice to those
-    parameters (the full set by default).  The field is real (float64)."""
+    parameters (the full set by default).  The field is real (float64),
+    one transform per nonempty sign cell and node (module docstring)."""
     if subset is not None:
         _check_generator_indices(subset, cone.m, "subset entry")
     mus = list(range(cone.m)) if subset is None else sorted(subset)
@@ -257,17 +273,17 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
         raise EmptySelector("parameter subset must be nonempty")
     if lattice.m != len(mus):
         raise LengthMismatch("lattice dimension must match the subset size")
-    selectors = gradient_selectors(mus)
     # the float64 output and the float64 buffer of the squares
     output = (lattice.node_count + 1) * f.spec.npoints / 2
-    _check_budget(f.spec, cone, lattice, len(selectors), output, budget)
     out = np.zeros((lattice.node_count, *f.spec.sizes))
     square = np.empty(f.spec.sizes)
-    for row, spectra in enumerate(_node_spectra(f, cone, lattice, mus, selectors)):
+    nodes = _node_spectra(f, cone, lattice, mus, None, output, budget)
+    for row, spectra in enumerate(nodes):
         for spectrum in spectra:
             component = np.fft.ifftn(spectrum, out=spectrum)
             out[row] += np.square(component.real, out=square)
             out[row] += np.square(component.imag, out=square)
+    out *= 2.0 ** len(mus)
     return OperatorField(lattice=lattice, spec=f.spec, values=out)
 
 

@@ -4,7 +4,8 @@ A quadrature-discretized smooth bump psi supported inside the dual cone
 defines F(z) = sum_k w_k psi_k exp(2 pi i z . xi_k), a genuine
 holomorphic function on the tube domain: every term is an exponential
 with frequency in the dual cone, so the continuous reproducing identity
-holds exactly for F.  Two conditions bound what F is good for:
+holds exactly for F, and the spectrum fills one sign cell (`poisson`
+module docstring).  Two conditions bound what F is good for:
 
 - F is a finite sum of exponentials, so it stands for the integral of
   psi only inside its revival radius: with Delta the largest gap between
@@ -39,8 +40,8 @@ from . import grid as gr
 from .cone import DualCone, PolyhedralCone
 from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, QuadratureRevival,
                      SupportEscapesDualCone)
-from .poisson import (DEFAULT_BUDGET, OperatorField, TLattice, gradient_factor,
-                      gradient_selectors, poisson_decay)
+from .poisson import (DEFAULT_BUDGET, X_CHOICE, OperatorField, TLattice, gradient_factor,
+                      poisson_decay)
 
 DEFAULT_NODES_PER_AXIS = 24
 # largest admitted reach * node gap.  For the 24-node bump at radius 0.5
@@ -62,8 +63,16 @@ class SpectralTestFunction:
         self.psi_vals = np.asarray(self.psi_vals, dtype=np.complex128)
         if not (len(self.weights) == len(self.psi_vals) == self.nodes.shape[0]):
             raise BadShape("nodes, weights and psi values must align")
-        if np.any(self.weights <= 0):
-            raise BadShape("quadrature weights must be positive")
+        # written so that NaN fails them
+        for name, need, ok in (
+            ("node coordinates", "finite", np.isfinite(self.nodes)),
+            ("quadrature weights", "finite and positive",
+             (0 < self.weights) & (self.weights < np.inf)),
+            ("psi values", "finite", np.isfinite(self.psi_vals)),
+        ):
+            if not ok.all():
+                raise BadShape(f"{ok.size - np.count_nonzero(ok)} of {ok.size} {name} "
+                               f"are not {need}")
 
     @property
     def n(self) -> int:
@@ -198,14 +207,13 @@ def boundary_grid(stf: SpectralTestFunction, spec: gr.GridSpec) -> gr.GridFuncti
 
 
 def _node_slices(stf: SpectralTestFunction, cone: PolyhedralCone,
-                 lattice: TLattice, spec: gr.GridSpec, selectors):
-    """Per lattice node in row order, yield each selector's mixed
+                 lattice: TLattice, spec: gr.GridSpec, selector: dict):
+    """Per lattice node in row order, yield the selector's mixed
     derivative of F at x + i project(t) on the grid, lazily.
 
     The spectrum must lie in the dual cone, where the shared symbol's
-    |e_mu . xi| is e_mu . xi.  The plan is built once per call, the
-    factor once per selector and the decay once per node.  A node's slices
-    must be consumed before the next node is drawn."""
+    |e_mu . xi| is e_mu . xi.  The plan and the factor are built once per
+    call and the decay once per node."""
     if spec.n != stf.n:
         raise LengthMismatch("grid and spectrum dimensions differ")
     if lattice.m != cone.m:
@@ -216,11 +224,9 @@ def _node_slices(stf: SpectralTestFunction, cone: PolyhedralCone,
             f"spectral nodes leave the dual cone (min e . xi = {dots.min():.3e})"
         )
     plan = _phases(spec, stf.nodes)
-    base = stf.weights * stf.psi_vals
-    coeffs = [base * gradient_factor(dots, sel) for sel in selectors]
+    coeffs = stf.weights * stf.psi_vals * gradient_factor(dots, selector)
     for t in lattice.nodes():
-        decay = poisson_decay(dots, t)
-        yield (_contract(plan, c * decay) for c in coeffs)
+        yield _contract(plan, coeffs * poisson_decay(dots, t))
 
 
 def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
@@ -229,8 +235,8 @@ def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
     """Evaluate F(x + i project(t)) (or a mixed derivative of it) at
     every grid point and lattice node by direct spectral summation."""
     out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
-    nodes = _node_slices(stf, cone, lattice, spec, [selector or {}])
-    for row, (values,) in enumerate(nodes):
+    nodes = _node_slices(stf, cone, lattice, spec, selector or {})
+    for row, values in enumerate(nodes):
         out[row] = values
     return OperatorField(lattice=lattice, spec=spec, values=out,
                          selector=dict(selector) if selector else None)
@@ -239,11 +245,12 @@ def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
 def gradient_magnitude_sq_lift(stf: SpectralTestFunction, cone: PolyhedralCone,
                                lattice: TLattice, spec: gr.GridSpec) -> OperatorField:
     """Spectral-exact |grad_1 ... grad_m F|^2 summed over all 2^m
-    component choices, per lattice node (a float64 field)."""
+    component choices, per lattice node (a float64 field): with one sign
+    cell (`poisson` module docstring), 2^m |all-X component|^2."""
     out = np.empty((lattice.node_count, *spec.sizes))
-    nodes = _node_slices(stf, cone, lattice, spec, gradient_selectors(range(cone.m)))
-    for row, slices in enumerate(nodes):
-        out[row] = sum(np.abs(values) ** 2 for values in slices)
+    nodes = _node_slices(stf, cone, lattice, spec, dict.fromkeys(range(cone.m), X_CHOICE))
+    for row, values in enumerate(nodes):
+        out[row] = 2.0**cone.m * np.abs(values) ** 2
     return OperatorField(lattice=lattice, spec=spec, values=out)
 
 
@@ -256,7 +263,7 @@ def hardy_norm(stf: SpectralTestFunction, cone: PolyhedralCone, p: int,
     if p not in (1, 2):
         raise BadShape("p must be 1 or 2")
     norms = [gr.lp_norm(gr.GridFunction(spec, values), p)
-             for (values,) in _node_slices(stf, cone, probe_lattice, spec, [{}])]
+             for values in _node_slices(stf, cone, probe_lattice, spec, {})]
     best = int(np.argmax(norms))
     return norms[best], probe_lattice.nodes()[best]
 

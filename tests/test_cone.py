@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,29 @@ class TestRectContains:
     def test_radii_length_mismatch(self, cone_b, call):
         with pytest.raises(LengthMismatch, match="expected 3 radii"):
             call(cone_b, np.ones(2))
+
+    @pytest.mark.parametrize("t, beta", [
+        ((np.nan, 1.0), 1.0), ((np.inf, 1.0), 1.0), ((0.0, 1.0), 1.0), ((-1.0, 1.0), 1.0),
+        ((1.0, 1.0), np.nan), ((1.0, 1.0), np.inf), ((1.0, 1.0), 0.0),
+    ])
+    def test_bad_query_refused(self, t, beta):
+        # NaN used to pass, and the centre then read as outside
+        message = f"got t={np.asarray(t)}, beta={beta}"
+        with pytest.raises(BadShape, match=re.escape(message)):
+            cg.TwistedRectangleQuery(np.zeros(2), t, beta)
+
+    @pytest.mark.parametrize("radii", [[-1.0, 1.0], [0.0, 1.0], [np.nan, 1.0], [1.0, np.inf]])
+    @pytest.mark.parametrize("call", [
+        lambda cone, r: cg.zonotope_support(cone, r),
+        lambda cone, r: cg.zonotope_volume(cone, r),
+        lambda cone, r: cg.rect_contains_many(cone, r, np.zeros((4, 2))),
+        lambda cone, r: cg.zonotope_axis_intervals(cone, r, 0, np.zeros((4, 2))),
+    ], ids=["support", "volume", "many", "intervals"])
+    def test_bad_radii_refused(self, axis_cone, call, radii):
+        # radii (-1, 1) used to give volume -4 and leave the centre outside
+        message = f"radii must be finite and positive, got {np.asarray(radii)}"
+        with pytest.raises(BadShape, match=re.escape(message)):
+            call(axis_cone, radii)
 
 
 class TestParallelohedron:

@@ -1,4 +1,7 @@
-"""Property tests of the cone layer over random valid cones."""
+"""Property tests over random valid cones: the cone layer, and the
+sign-cell identity behind the Poisson gradient magnitude."""
+
+import itertools
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tubeharm import cone as cg
+from tubeharm import grid as gr
+from tubeharm import poisson as po
 from tubeharm.errors import DegenerateSubset
 
 # derandomized, so tier-1 runs the same examples every time
@@ -13,10 +18,10 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def cones(draw):
-    """n in {2, 3, 4}, n <= m <= n + 2 unit generators at 0.2 to 1 rad
+def cones(draw, max_n=4):
+    """2 <= n <= max_n, n <= m <= n + 2 unit generators at 0.2 to 1 rad
     from an axis: a pointed cone, whose dual is full-dimensional."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, max_n))
     m = draw(st.integers(n, n + 2))
     unit = st.floats(-1.0, 1.0)
     axis = draw(arrays(float, n, elements=unit))
@@ -65,3 +70,26 @@ def test_parallelohedron_inside_zonotope(cone, data):
     xp = (frac * t[list(subset)]) @ cone.generators[list(subset)]
     inside = [cg.parallelohedron_contains(cone, subset, np.zeros(cone.n), t, p) for p in xp]
     assert np.all(cg.rect_contains_many(cone, t, xp)[inside])
+
+
+@settings(PROPERTY, max_examples=20)
+@given(cone=cones(max_n=3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_gradient_magnitude_is_the_sum_over_choices(cone, data, seed):
+    # gradient_magnitude_sq_field sums one transform per sign cell; the
+    # reference sums |build_field|^2 over all 2^m X/T selectors.  The
+    # input is random complex noise, not holomorphic, so every cell is
+    # filled.  A subset of n or more generators spans a valid sub-cone,
+    # whose full field is the reference
+    spec = gr.GridSpec(n=cone.n, sizes=(16,) * cone.n, box_half=4.0)
+    rng = np.random.default_rng(seed)
+    f = gr.GridFunction(spec, rng.normal(size=spec.sizes) + 1j * rng.normal(size=spec.sizes))
+    size = data.draw(st.integers(cone.n, cone.m))
+    subset = sorted(data.draw(st.permutations(range(cone.m)))[:size])
+    for sub in (None, subset):
+        mus = range(cone.m) if sub is None else sub
+        sub_cone = cg.validate_cone(cone.generators[list(mus)])
+        lat = po.TLattice(m=sub_cone.m, t_min=0.3, ratio=2.0, levels=2)
+        got = po.gradient_magnitude_sq_field(f, cone, lat, subset=sub).values
+        want = sum(np.abs(po.build_field(f, sub_cone, lat, selector=dict(enumerate(c))).values) ** 2
+                   for c in itertools.product((po.X_CHOICE, po.T_CHOICE), repeat=sub_cone.m))
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()

@@ -204,16 +204,17 @@ class TestBuildField:
             po.build_field(gaussian, cone_b, lat, budget=100)
 
     def test_budget_counts_loop_peak(self, cone_b):
-        # the 8 float64 nodes fit in 4 * 1024 elements, the 8 weighted
-        # spectra of the gradient loop need 8 * 1024 more
+        # the 8 float64 nodes fit in 4 * 1024 elements, the gradient
+        # loop's spectra, one per nonempty sign cell (6 of the 8 for
+        # cone_b), need 6 * 1024 more
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
         f = gr.GridFunction(spec, np.ones(spec.sizes))
         lat = po.TLattice(m=3, t_min=0.5, levels=2)
         with pytest.raises(OutOfMemoryBudget, match="exceeds budget 8192") as err:
             po.gradient_magnitude_sq_field(f, cone_b, lat, budget=8 * 1024)
-        # output and square buffer 4.5, f-hat, spectra and spectrum
-        # buffer 10, dots, tables and decay buffer (3 + 6 + 1) / 2
-        assert err.value.needed == (4.5 + 10 + 5) * 1024
+        # output and square buffer 4.5, f-hat, 6 cell spectra and spectrum
+        # buffer 8, dots, tables and decay buffer (3 + 6 + 1) / 2
+        assert err.value.needed == (4.5 + 8 + 5) * 1024
         assert f"peak {err.value.needed:.1f}" in str(err.value)
         po.gradient_magnitude_sq_field(f, cone_b, lat, budget=int(err.value.needed))
         with pytest.raises(OutOfMemoryBudget):
@@ -267,6 +268,38 @@ class TestBuildField:
                 acc += np.abs(po.build_field(f, sub_cone, lat, selector=sel).values) ** 2
             for row in range(lat.node_count):
                 assert np.max(np.abs(fld.values[row] - acc[row])) < 1e-10 * acc[row].max()
+
+
+class TestSignCells:
+    # gradient_magnitude_sq_field transforms once per nonempty cell of
+    # sign patterns (sgn e_mu . xi)_mu on the grid, at most
+    # 2 sum_{k<n} C(m-1, k) of the 2^m; the budget's refusal names the
+    # count
+
+    @staticmethod
+    def _refusal(cone, size):
+        spec = gr.GridSpec(n=cone.n, sizes=(size,) * cone.n, box_half=8.0)
+        f = gr.GridFunction(spec, np.ones(spec.sizes))
+        lat = po.TLattice(m=cone.m, t_min=0.5, levels=1)
+        with pytest.raises(OutOfMemoryBudget) as err:
+            po.gradient_magnitude_sq_field(f, cone, lat, budget=1)
+        return str(err.value)
+
+    def test_cone_b_six_of_eight(self, cone_b):
+        # xi_1 > 0, xi_2 > 0 and xi_1 + xi_2 < 0 cannot hold together, nor
+        # can the opposite pattern
+        assert ", 6 spectra:" in self._refusal(cone_b, 32)
+
+    def test_planar_four_generators_eight_of_sixteen(self):
+        # in the plane each generator's line through 0 adds two cells: 2m
+        angles = np.array([0.3, 0.7, 1.1, 1.4])
+        cone = cg.validate_cone(np.column_stack([np.cos(angles), np.sin(angles)]))
+        assert ", 8 spectra:" in self._refusal(cone, 32)
+
+    def test_three_dimensional_fourteen_of_sixteen(self):
+        gens = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        cone = cg.validate_cone(gens / np.linalg.norm(gens, axis=1, keepdims=True))
+        assert ", 14 spectra:" in self._refusal(cone, 16)
 
 
 class TestGeneratorIndices:

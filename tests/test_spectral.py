@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -370,3 +371,24 @@ class TestIO:
         assert np.allclose(back.nodes, bump.nodes)
         assert np.allclose(back.weights, bump.weights)
         assert np.allclose(back.psi_vals, bump.psi_vals)
+
+    @pytest.mark.parametrize("key, entry, value, per_node, what", [
+        ("weights", (3,), np.nan, 1, "quadrature weights are not finite and positive"),
+        ("weights", (3,), -1.0, 1, "quadrature weights are not finite and positive"),
+        ("nodes", (5, 1), np.inf, 2, "node coordinates are not finite"),
+        ("psi", (7, 0), np.nan, 1, "psi values are not finite"),
+    ])
+    def test_nonfinite_entry_refused(self, tmp_path, bump, key, entry, value, per_node,
+                                     what):
+        # a NaN weight used to load, with mass() = nan
+        path = tmp_path / "stf.json"
+        sp.write_stf(path, bump)
+        data = json.loads(path.read_text())
+        row = data[key]
+        for i in entry[:-1]:
+            row = row[i]
+        row[entry[-1]] = value
+        path.write_text(json.dumps(data))
+        size = per_node * len(bump.weights)
+        with pytest.raises(BadShape, match=f"1 of {size} {what}"):
+            sp.read_stf(path)
