@@ -30,9 +30,9 @@ from .errors import (
     DegenerateSubset,
     LengthMismatch,
     NotUnit,
-    SingularSubset,
     UnsupportedDimension,
 )
+from .util import lookup_keys
 
 RANK_TOL = 1e-9
 UNIT_TOL = 1e-6
@@ -174,9 +174,10 @@ class TwistedRectangleQuery:
 def validate_cone(generators) -> PolyhedralCone:
     """Validate generator rows and return the cone.
 
-    Rows within 1e-6 of unit length are renormalized; rows further away
-    raise NotUnit.  Every n-subset must have |det| > RANK_TOL.  The
-    returned generators are a read-only copy.
+    Rows that are not finite raise BadShape.  Rows within 1e-6 of unit
+    length are renormalized; rows further away raise NotUnit.  Every
+    n-subset must have |det| > RANK_TOL.  The returned generators are a
+    read-only copy.
     """
     gens = np.asarray(generators, dtype=float)
     if gens.ndim != 2:
@@ -184,6 +185,9 @@ def validate_cone(generators) -> PolyhedralCone:
     m, n = gens.shape
     if n < 1 or m < n:
         raise BadShape(f"need m >= n >= 1, got m={m}, n={n}")
+    if not np.isfinite(gens).all():
+        bad = int(np.argmin(np.isfinite(gens).all(axis=1)))
+        raise BadShape(f"generator {bad} is not finite: {gens[bad]}")
     norms = np.linalg.norm(gens, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_TOL):
         bad = int(np.argmax(np.abs(norms - 1.0)))
@@ -201,11 +205,10 @@ def cone_from_json(path) -> PolyhedralCone:
     """Load a cone description file {"n", "m", "generators"}."""
     with open(path) as fh:
         data = json.load(fh)
-    gens = np.asarray(data["generators"], dtype=float)
-    if gens.shape != (int(data["m"]), int(data["n"])):
-        raise BadShape(
-            f"generators shape {gens.shape} does not match n={data['n']}, m={data['m']}"
-        )
+    n, m, gens = lookup_keys(data, ("n", "m", "generators"), path)
+    gens = np.asarray(gens, dtype=float)
+    if gens.shape != (int(m), int(n)):
+        raise BadShape(f"generators shape {gens.shape} does not match n={n}, m={m}")
     return validate_cone(gens)
 
 
@@ -296,8 +299,10 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
 
     For each transverse point c (rows, with a zero in the given axis),
     returns (lo, hi) such that c + s*e_axis lies in R(0, radii) exactly
-    for s in [lo, hi]; lo > hi marks an empty row.
+    for s in [lo, hi]; lo > hi marks an empty row.  `axis` is in range(n).
     """
+    if not isinstance(axis, (int, np.integer)) or not 0 <= axis < cone.n:
+        raise BadShape(f"axis {axis!r} is not a coordinate index in range({cone.n})")
     transverse = np.asarray(transverse, dtype=float)
     bound = _member_bound(zonotope_support(cone, radii))
     lo = np.full(transverse.shape[0], -np.inf)
@@ -318,35 +323,10 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
     return lo, hi
 
 
-def parallelohedron_contains(cone: PolyhedralCone, subset, x, r, xp) -> bool:
-    """Membership in the parallelohedron spanned by an n-subset of
-    generators: solve the n x n system exactly and compare |lambda| < r."""
-    subset = tuple(subset)
-    if len(subset) != cone.n:
-        raise SingularSubset(f"subset must have {cone.n} indices")
-    basis = cone.generators[list(subset)]
-    det = np.linalg.det(basis)
-    if abs(det) <= RANK_TOL:
-        raise SingularSubset(f"subset {subset} is singular")
-    r = np.asarray(r, dtype=float)
-    b = np.asarray(xp, dtype=float) - np.asarray(x, dtype=float)
-    lam = np.linalg.solve(basis.T, b)
-    bounds = r[list(subset)]
-    return bool(np.all(np.abs(lam) <= bounds + MEMBER_MARGIN + 1e-10 * bounds))
-
-
 def zonotope_volume(cone: PolyhedralCone, t) -> float:
     """Exact volume of R(0, t): 2^n sum_l prod_{j in l} t_j |det e_l|."""
     t = _radii(cone, t)
     return (2.0**cone.n) * float(cone.subset_dets @ t[cone.subsets].prod(axis=1))
-
-
-def largest_subset(cone: PolyhedralCone, t) -> tuple:
-    """Indices of the n largest radii; ties broken toward the
-    lexicographically smallest index set."""
-    t = np.asarray(t, dtype=float)
-    order = np.lexsort((np.arange(cone.m), -t))
-    return tuple(sorted(int(i) for i in order[: cone.n]))
 
 
 def cauchy_szego(cone: PolyhedralCone, z) -> complex | np.ndarray:

@@ -25,18 +25,6 @@ class UnsupportedDimension(TubeharmError):
     """Operation only implemented for small ambient dimensions."""
 
 
-class SingularSubset(TubeharmError):
-    """The selected generator subset is singular."""
-
-
-class ShapeMismatch(TubeharmError):
-    """Grid functions live on incompatible grids."""
-
-
-class EmptySelector(TubeharmError):
-    """A gradient/parameter selector must be nonempty."""
-
-
 class OutOfMemoryBudget(TubeharmError):
     """A node loop would hold more than its element budget at its peak.
 

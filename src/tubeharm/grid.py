@@ -16,6 +16,9 @@ real arithmetic,
     fourier_inverse(M * fourier_forward(f)) = ifftn(fftn(f) * S M),
 
 with S M = `np.fft.ifftshift(M)`, the symbol in FFT order.
+
+One type, `GridFunction`, holds grid samples and, from `fourier_forward`
+only, values on the reciprocal lattice; a TGF2 file stores one.
 """
 
 from __future__ import annotations
@@ -25,11 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, ShapeMismatch
+from .errors import BadShape
 from .util import kahan_sum, require_finite
-
-DOMAIN_SPACE = "space"
-DOMAIN_FREQ = "frequency"
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ class GridSpec:
 class GridFunction:
     spec: GridSpec
     values: np.ndarray  # complex, shape == spec.sizes
-    domain_tag: str = DOMAIN_SPACE
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -90,24 +89,20 @@ class GridFunction:
             raise BadShape(
                 f"values shape {self.values.shape} != sizes {self.spec.sizes}"
             )
-        if self.domain_tag not in (DOMAIN_SPACE, DOMAIN_FREQ):
-            raise BadShape(f"unknown domain tag {self.domain_tag!r}")
 
 
 def fourier_forward(f: GridFunction) -> GridFunction:
-    if f.domain_tag != DOMAIN_SPACE:
-        raise ShapeMismatch("fourier_forward expects a spatial function")
+    """Centred transform; the values returned lie on `f.spec.freqs()`."""
     vals = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
     vals *= f.spec.h ** f.spec.n
-    return GridFunction(f.spec, vals, DOMAIN_FREQ)
+    return GridFunction(f.spec, vals)
 
 
 def fourier_inverse(fhat: GridFunction) -> GridFunction:
-    if fhat.domain_tag != DOMAIN_FREQ:
-        raise ShapeMismatch("fourier_inverse expects a frequency function")
+    """Inverse of `fourier_forward`: values on `spec.freqs()` to samples."""
     vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(fhat.values)))
     vals /= fhat.spec.h ** fhat.spec.n
-    return GridFunction(fhat.spec, vals, DOMAIN_SPACE)
+    return GridFunction(fhat.spec, vals)
 
 
 def lp_norm(f: GridFunction, p) -> float:
@@ -122,11 +117,9 @@ def lp_norm(f: GridFunction, p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# TGF1 binary container
+# TGF2 binary container
 
-_MAGIC = b"TGF1"
-_TAG_CODE = {DOMAIN_SPACE: 0, DOMAIN_FREQ: 1}
-_TAG_NAME = {0: DOMAIN_SPACE, 1: DOMAIN_FREQ}
+_MAGIC = b"TGF2"
 _PAYLOAD = "<c16"  # little-endian (re, im) f64 pairs
 
 
@@ -138,29 +131,28 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 
 def write_tgf(path, f: GridFunction) -> None:
-    """Scalar grid container: magic, u32 n, u32 sizes, f64 box_half per
-    axis, u8 domain tag, then the values row-major as little-endian
-    (re, im) f64 pairs."""
+    """Scalar grid container: magic, u32 n, n u32 sizes, one f64
+    box_half, then the values row-major as little-endian (re, im) f64
+    pairs."""
     spec = f.spec
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack(f"<I{spec.n}I{spec.n}dB", spec.n, *spec.sizes,
-                             *([spec.box_half] * spec.n), _TAG_CODE[f.domain_tag]))
+        fh.write(struct.pack(f"<I{spec.n}Id", spec.n, *spec.sizes, spec.box_half))
         fh.write(f.values.astype(_PAYLOAD).tobytes())
 
 
 def read_tgf(path) -> GridFunction:
+    """Read a `write_tgf` file; bytes past the payload are refused."""
     with open(path, "rb") as fh:
         found = fh.read(4)
         if found != _MAGIC:
             raise BadShape(f"not a {_MAGIC.decode()} file: magic {found!r}")
         (n,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
-        fmt = f"<{n}I{n}dB"
-        fields = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "header"))
-        sizes, halves, tag = fields[:n], fields[n:2 * n], fields[-1]
-        if tag not in _TAG_NAME:
-            raise BadShape(f"unknown domain tag code {tag}")
-        spec = GridSpec(n=n, sizes=tuple(sizes), box_half=halves[0])
+        fmt = f"<{n}Id"
+        *sizes, box_half = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "header"))
+        spec = GridSpec(n=n, sizes=tuple(sizes), box_half=box_half)
         data = _read_exact(fh, 16 * spec.npoints, "payload")
+        if extra := len(fh.read()):
+            raise BadShape(f"{extra} trailing bytes after the payload")
         values = np.frombuffer(data, dtype=_PAYLOAD).astype(np.complex128)
-        return GridFunction(spec, values.reshape(spec.sizes), _TAG_NAME[tag])
+        return GridFunction(spec, values.reshape(spec.sizes))

@@ -9,6 +9,8 @@ factors: 2 pi i (e_mu . xi) for the spatial choice and -2 pi |e_mu . xi|
 for the d/dt choice.  `build_field` and `gradient_magnitude_sq_field`
 evaluate them at every node of a `TLattice`; for one scale t, with every
 t_mu = t, pass the one-node lattice `TLattice(m, t_min=t, levels=1)`.
+Both run over all m generators, on an m-parameter lattice, and refuse a
+node loop whose peak passes DEFAULT_BUDGET complex elements.
 
 Sign cells: where e_mu . xi != 0 the T factor is the X factor times
 i sgn(e_mu . xi), and where it is 0 both vanish.  With v_sigma the all-X
@@ -32,14 +34,8 @@ import numpy as np
 
 from . import grid as gr
 from .cone import PolyhedralCone
-from .errors import (
-    BadShape,
-    EmptySelector,
-    LengthMismatch,
-    OutOfMemoryBudget,
-    ShapeMismatch,
-)
-from .util import require_finite
+from .errors import BadShape, LengthMismatch, OutOfMemoryBudget
+from .util import lookup_keys, require_finite
 
 DEFAULT_RATIO = float(np.sqrt(2.0))
 DEFAULT_LEVELS = 8
@@ -54,9 +50,10 @@ T_CHOICE = "T"
 class TLattice:
     """Finite geometric lattice in (R_+)^m with t-dt quadrature weights.
 
-    Axis values are t_min * ratio^k, k = 0..levels-1.  The weight of a
-    node approximates the integral of t dt over its geometric cell,
-    0.5*(hi^2 - lo^2) per axis, with cell edges at geometric midpoints.
+    Axis values are t_min * ratio^k, k = 0..levels-1.  The weights are the
+    trapezoid rule in s = ln t, t dt = t^2 ds: t_k^2 ln(ratio) per axis,
+    exponentially accurate for integrands smooth and decaying at both ends
+    (Trefethen & Weideman, SIAM Rev. 2014).
     """
 
     m: int
@@ -82,10 +79,7 @@ class TLattice:
 
     @property
     def axis_weights(self) -> np.ndarray:
-        v = self.axis_values
-        root = np.sqrt(self.ratio)
-        edges = np.concatenate([[v[0] / root], np.sqrt(v[:-1] * v[1:]), [v[-1] * root]])
-        return 0.5 * (edges[1:] ** 2 - edges[:-1] ** 2)
+        return self.axis_values**2 * np.log(self.ratio)
 
     @property
     def node_count(self) -> int:
@@ -132,23 +126,14 @@ def poisson_decay(dots, t) -> np.ndarray:
     return np.exp(-2.0 * np.pi * sum(t_mu * np.abs(d) for t_mu, d in zip(t, dots)))
 
 
-def _check_generator_indices(keys, m: int, what: str) -> None:
-    """Raise BadShape unless every key is an int in range(m), none
-    repeated."""
-    seen = set()
-    for key in keys:
-        if not isinstance(key, (int, np.integer)) or not 0 <= key < m:
-            raise BadShape(f"{what} {key!r} is not a generator index in range({m})")
-        if key in seen:
-            raise BadShape(f"{what} {key!r} is repeated (m = {m})")
-        seen.add(key)
-
-
 def gradient_factor(dots, selector: dict):
     """Mixed-gradient symbol: 2 pi i (e_mu . xi) for an X choice and
     -2 pi |e_mu . xi| for a T choice, multiplied over the selected mu
-    (1 for an empty selector).  Each key must index `dots`."""
-    _check_generator_indices(selector, len(dots), "selector key")
+    (1 for an empty selector).  Each key must be an int in range(len(dots))."""
+    for key in selector:
+        if not isinstance(key, (int, np.integer)) or not 0 <= key < len(dots):
+            raise BadShape(f"selector key {key!r} is not a generator index "
+                           f"in range({len(dots)})")
     out = 1.0
     for mu, choice in sorted(selector.items()):
         if choice == X_CHOICE:
@@ -181,50 +166,49 @@ class OperatorField:
         return gr.GridFunction(self.spec, self.values[row])
 
 
-def _check_budget(spec: gr.GridSpec, cone: PolyhedralCone, lattice: TLattice,
-                  spectra: int, output: float, budget: int) -> None:
-    """Raise OutOfMemoryBudget unless the node loop's peak fits `budget`.
+def _check_budget(spec: gr.GridSpec, lattice: TLattice, spectra: int, output: float) -> None:
+    """Raise OutOfMemoryBudget unless the node loop's peak fits DEFAULT_BUDGET.
 
     Counted in complex elements, a float64 as 1/2, per grid point: the
     caller's `output`, f-hat, the `spectra` weighted spectra, the spectrum
     buffer, the per-generator dots, the m * levels decay tables and the
     decay buffer."""
-    floats = cone.m + lattice.m * lattice.levels + 1
+    floats = lattice.m * (lattice.levels + 1) + 1
     needed = output + spec.npoints * (spectra + 2 + floats / 2)
-    if needed > budget:
+    if needed > DEFAULT_BUDGET:
         raise OutOfMemoryBudget(
-            needed, budget,
+            needed, DEFAULT_BUDGET,
             f"{lattice.node_count} nodes x {spec.npoints} points, {spectra} spectra",
         )
 
 
 def _node_spectra(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
-                  mus, selector, output: float, budget: int):
-    """Check the budget (`output` is the caller's share), then return an
-    iterator over the lattice nodes in row order that yields each node's
-    spectra lazily: f times the decay over `mus` and `selector`'s factor,
-    or for `selector` None the all-X factor cut by sign cell.
+                  selector, output: float):
+    """Check the lattice against the cone and the budget (`output` is
+    the caller's share), then return an iterator over the lattice nodes
+    in row order that yields each node's spectra lazily: f times the
+    decay over all m generators and `selector`'s factor, or for
+    `selector` None the all-X factor cut by sign cell.
 
     Spectra are unscaled and in FFT order, so by the shift identity of
     the `grid` module docstring `np.fft.ifftn` of one is the component in
     space.  One forward transform per call, and per node a product of m
     decay tables.  All spectra share one buffer: each must be consumed
     before the next is drawn."""
-    if f.domain_tag != gr.DOMAIN_SPACE:
-        raise ShapeMismatch("the Poisson field needs a spatial function")
+    if lattice.m != cone.m:
+        raise LengthMismatch("lattice parameter count != generator count")
     require_finite(f.values, f.values.sum())
     dots = [np.fft.ifftshift(d) for d in _axis_dots(f.spec, cone)]
     masks = [None]
     if selector is None:
-        # bit k: e_mu . xi > 0 for mu = mus[k].  np.unique would import numpy.ma
-        code = sum((dots[mu] > 0).astype(np.intp) << k for k, mu in enumerate(mus))
+        # bit mu: e_mu . xi > 0.  np.unique would import numpy.ma
+        code = sum((d > 0).astype(np.intp) << mu for mu, d in enumerate(dots))
         masks = [code == c for c in np.flatnonzero(np.bincount(code.ravel()))]
-        selector = dict.fromkeys(mus, X_CHOICE)
-    _check_budget(f.spec, cone, lattice, len(masks), output, budget)
+        selector = dict.fromkeys(range(cone.m), X_CHOICE)
+    _check_budget(f.spec, lattice, len(masks), output)
     product = np.fft.fftn(f.values) * gradient_factor(dots, selector)
     weighted = [product if mask is None else product * mask for mask in masks]
-    tables = [[poisson_decay([dots[mu]], [v]) for v in lattice.axis_values]
-              for mu in mus]
+    tables = [[poisson_decay([d], [v]) for v in lattice.axis_values] for d in dots]
 
     def nodes():
         decay = np.empty(f.spec.sizes)
@@ -238,19 +222,16 @@ def _node_spectra(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
 
 
 def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
-                selector: dict | None = None,
-                budget: int = DEFAULT_BUDGET) -> OperatorField:
+                selector: dict | None = None) -> OperatorField:
     """Materialize the (optionally differentiated) Poisson field at
     every lattice node.  One forward transform; one inverse per node,
     straight into the node's row.
 
     `selector` maps generator indices in range(cone.m) to X_CHOICE or
     T_CHOICE; the field is then that mixed derivative."""
-    if lattice.m != cone.m:
-        raise LengthMismatch("lattice parameter count != generator count")
     out = np.empty((lattice.node_count, *f.spec.sizes), dtype=np.complex128)
-    nodes = _node_spectra(f, cone, lattice, range(cone.m), selector or {},
-                          lattice.node_count * f.spec.npoints, budget)
+    nodes = _node_spectra(f, cone, lattice, selector or {},
+                          lattice.node_count * f.spec.npoints)
     for row, (spectrum,) in enumerate(nodes):
         np.fft.ifftn(spectrum, out=out[row])
     return OperatorField(lattice=lattice, spec=f.spec, values=out,
@@ -258,37 +239,28 @@ def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
 
 
 def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
-                                lattice: TLattice, subset=None,
-                                budget: int = DEFAULT_BUDGET) -> OperatorField:
-    """Sum over all 2^|j| mixed-gradient components of |component|^2.
+                                lattice: TLattice) -> OperatorField:
+    """Sum over all 2^m mixed-gradient components of |component|^2.
 
-    This is the scalar integrand of the area and g functions; `subset`
-    restricts the convolution, the derivatives and the lattice to those
-    parameters (the full set by default).  The field is real (float64),
-    one transform per nonempty sign cell and node (module docstring)."""
-    if subset is not None:
-        _check_generator_indices(subset, cone.m, "subset entry")
-    mus = list(range(cone.m)) if subset is None else sorted(subset)
-    if not mus:
-        raise EmptySelector("parameter subset must be nonempty")
-    if lattice.m != len(mus):
-        raise LengthMismatch("lattice dimension must match the subset size")
+    This is the scalar integrand of the area and g functions.  The field
+    is real (float64), one transform per nonempty sign cell and node
+    (module docstring)."""
     # the float64 output and the float64 buffer of the squares
     output = (lattice.node_count + 1) * f.spec.npoints / 2
     out = np.zeros((lattice.node_count, *f.spec.sizes))
     square = np.empty(f.spec.sizes)
-    nodes = _node_spectra(f, cone, lattice, mus, None, output, budget)
+    nodes = _node_spectra(f, cone, lattice, None, output)
     for row, spectra in enumerate(nodes):
         for spectrum in spectra:
             component = np.fft.ifftn(spectrum, out=spectrum)
             out[row] += np.square(component.real, out=square)
             out[row] += np.square(component.imag, out=square)
-    out *= 2.0 ** len(mus)
+    out *= 2.0**cone.m
     return OperatorField(lattice=lattice, spec=f.spec, values=out)
 
 
 # ---------------------------------------------------------------------------
-# Field persistence: manifest + one TGF1 file per node
+# Field persistence: manifest + one TGF2 file per node
 
 def field_node_name(idx) -> str:
     return "t_" + "_".join(f"{k:02d}" for k in idx) + ".tgf"
@@ -319,25 +291,20 @@ def write_field(dirpath, fld: OperatorField) -> None:
 
 
 def read_field(dirpath) -> OperatorField:
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
+    path = os.path.join(dirpath, "manifest.json")
+    with open(path) as fh:
         manifest = json.load(fh)
-    lattice = TLattice(
-        m=manifest["m"],
-        t_min=manifest["t_min"],
-        ratio=manifest["ratio"],
-        levels=manifest["levels"],
-    )
-    spec = gr.GridSpec(
-        n=manifest["grid"]["n"],
-        sizes=tuple(manifest["grid"]["sizes"]),
-        box_half=manifest["grid"]["box_half"],
-    )
+    m, t_min, ratio, levels, selector, grid, nodes = lookup_keys(
+        manifest, ("m", "t_min", "ratio", "levels", "selector", "grid", "nodes"), path)
+    lattice = TLattice(m=m, t_min=t_min, ratio=ratio, levels=levels)
+    n, sizes, box_half = lookup_keys(grid, ("n", "sizes", "box_half"), f"{path} grid")
+    spec = gr.GridSpec(n=n, sizes=tuple(sizes), box_half=box_half)
     names = [field_node_name(idx) for idx in lattice.indices()]
-    if manifest["nodes"] != names:
-        pairs = enumerate(itertools.zip_longest(names, manifest["nodes"]))
+    if nodes != names:
+        pairs = enumerate(itertools.zip_longest(names, nodes))
         row, (want, got) = next(p for p in pairs if p[1][0] != p[1][1])
         raise BadShape(
-            f"manifest lists {len(manifest['nodes'])} nodes, the lattice has "
+            f"manifest lists {len(nodes)} nodes, the lattice has "
             f"{len(names)}; row {row}: expected {want!r}, found {got!r}"
         )
     values = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
@@ -346,7 +313,6 @@ def read_field(dirpath) -> OperatorField:
         if node.spec != spec:
             raise BadShape(f"{name}: expected the manifest grid {spec}, found {node.spec}")
         values[row] = node.values
-    selector = manifest["selector"]
     if selector is not None:
         selector = {int(k): v for k, v in selector.items()}
     return OperatorField(lattice=lattice, spec=spec, values=values,

@@ -42,6 +42,7 @@ from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, QuadratureRevi
                      SupportEscapesDualCone)
 from .poisson import (DEFAULT_BUDGET, X_CHOICE, OperatorField, TLattice, gradient_factor,
                       poisson_decay)
+from .util import lookup_keys
 
 DEFAULT_NODES_PER_AXIS = 24
 # largest admitted reach * node gap.  For the 24-node bump at radius 0.5
@@ -281,9 +282,9 @@ def write_stf(path, stf: SpectralTestFunction) -> None:
 def read_stf(path) -> SpectralTestFunction:
     with open(path) as fh:
         data = json.load(fh)
-    psi = np.array([complex(re, im) for re, im in data["psi"]])
+    nodes, weights, psi = lookup_keys(data, ("nodes", "weights", "psi"), path)
     return SpectralTestFunction(
-        nodes=np.asarray(data["nodes"], dtype=float),
-        weights=np.asarray(data["weights"], dtype=float),
-        psi_vals=psi,
+        nodes=np.asarray(nodes, dtype=float),
+        weights=np.asarray(weights, dtype=float),
+        psi_vals=np.array([complex(re, im) for re, im in psi]),
     )

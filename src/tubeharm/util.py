@@ -1,10 +1,10 @@
-"""Deterministic accumulation and the finiteness check on reductions."""
+"""Deterministic accumulation and the checks on reductions and read files."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteValues
+from .errors import BadShape, NonFiniteValues
 
 
 def kahan_sum(values) -> float:
@@ -39,3 +39,12 @@ def require_finite(values, total):
         if bad:
             raise NonFiniteValues(bad, np.size(values))
     return total
+
+
+def lookup_keys(data: dict, keys, source) -> list:
+    """The values of `keys` in `data`, which was read from `source`;
+    BadShape names the first key missing."""
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise BadShape(f"{source} has no key {missing[0]!r}")
+    return [data[key] for key in keys]

@@ -55,3 +55,21 @@ def centred():
         fhat.values *= po.poisson_decay(dots, t) * po.gradient_factor(dots, selector or {})
         return gr.fourier_inverse(fhat).values
     return field
+
+
+def largest_subset(cone, t) -> tuple:
+    """Indices of the n largest radii; ties broken toward the
+    lexicographically smallest index set."""
+    order = np.lexsort((np.arange(cone.m), -np.asarray(t, dtype=float)))
+    return tuple(sorted(int(i) for i in order[: cone.n]))
+
+
+def parallelohedron_contains(cone, subset, x, r, xp) -> bool:
+    """Inclusion-chain oracle: membership in the parallelohedron spanned
+    by the n generators of `subset` with radii r[subset], centred at x.
+    Solves the n x n system exactly and compares |lambda| with r, relaxed
+    as the zonotope membership is (cone._member_bound)."""
+    lam = np.linalg.solve(cone.generators[list(subset)].T,
+                          np.asarray(xp, dtype=float) - np.asarray(x, dtype=float))
+    bounds = np.asarray(r, dtype=float)[list(subset)]
+    return bool(np.all(np.abs(lam) <= bounds + cone_mod.MEMBER_MARGIN + 1e-10 * bounds))

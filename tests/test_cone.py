@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+from conftest import largest_subset, parallelohedron_contains
 from tubeharm import cone as cg
 from tubeharm.errors import (
     BadShape,
@@ -94,6 +96,20 @@ class TestValidate:
     def test_bad_shape(self):
         with pytest.raises(BadShape):
             cg.validate_cone([[1.0, 0.0, 0.0]])  # m < n
+
+    @pytest.mark.parametrize("row, value", [(0, np.nan), (1, np.inf), (2, -np.inf)])
+    def test_nonfinite_generator_refused(self, tmp_path, row, value):
+        # a NaN row used to pass both the unit and the rank test, leaving
+        # generator [nan, nan] and subset_dets [nan]; JSON reads NaN too
+        gens = [[1.0, 0.0], [0.0, 1.0], [SQ2 / 2, SQ2 / 2]]
+        gens[row][0] = value
+        message = re.escape(f"generator {row} is not finite: {np.asarray(gens[row])}")
+        with pytest.raises(BadShape, match=message):
+            cg.validate_cone(gens)
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"n": 2, "m": 3, "generators": gens}))
+        with pytest.raises(BadShape, match=message):
+            cg.cone_from_json(path)
 
     def test_generators_read_only(self):
         gens = np.eye(2)
@@ -260,6 +276,13 @@ class TestRectContains:
         with pytest.raises(BadShape, match=re.escape(message)):
             call(axis_cone, radii)
 
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_interval_axis_refused(self, cone_b, axis):
+        # -1 used to wrap round to axis 1, and 2 to raise a bare IndexError
+        with pytest.raises(BadShape, match=rf"axis {axis} is not a coordinate index "
+                                           rf"in range\(2\)"):
+            cg.zonotope_axis_intervals(cone_b, np.ones(3), axis, np.zeros((4, 2)))
+
 
 class TestParallelohedron:
     def test_axis_matches_rect(self, axis_cone):
@@ -267,14 +290,14 @@ class TestParallelohedron:
         for _ in range(100):
             t = rng.uniform(0.2, 1.5, size=2)
             xp = rng.uniform(-2, 2, size=2)
-            a = cg.parallelohedron_contains(axis_cone, (0, 1), np.zeros(2), t, xp)
+            a = parallelohedron_contains(axis_cone, (0, 1), np.zeros(2), t, xp)
             b = cg.rect_contains(
                 axis_cone, cg.TwistedRectangleQuery(np.zeros(2), t), xp
             )
             assert a == b
 
     def test_center(self, cone_b):
-        assert cg.parallelohedron_contains(
+        assert parallelohedron_contains(
             cone_b, (0, 1), np.ones(2), np.ones(3), np.ones(2)
         )
 
@@ -285,7 +308,7 @@ class TestParallelohedron:
             xp = rng.uniform(-2, 2, size=2)
             lam = np.linalg.solve(cone_b.generators[:2].T, xp)
             want = bool(np.all(np.abs(lam) <= r[:2] + 1e-12))
-            got = cg.parallelohedron_contains(cone_b, (0, 1), np.zeros(2), r, xp)
+            got = parallelohedron_contains(cone_b, (0, 1), np.zeros(2), r, xp)
             assert got == want
 
 
@@ -339,13 +362,13 @@ class TestInclusionChain:
         checked = 0
         for _ in range(2000):
             t = np.exp(rng.uniform(np.log(0.05), np.log(5.0), size=3))
-            subset = cg.largest_subset(cone_b, t)
+            subset = largest_subset(cone_b, t)
             xp = rng.uniform(-1.5, 1.5, size=2) * (np.abs(cone_b.generators.T) @ t)
-            in_para = cg.parallelohedron_contains(cone_b, subset, x, t, xp)
+            in_para = parallelohedron_contains(cone_b, subset, x, t, xp)
             in_rect = cg.rect_contains(
                 cone_b, cg.TwistedRectangleQuery(x, t), xp
             )
-            in_big = cg.parallelohedron_contains(
+            in_big = parallelohedron_contains(
                 cone_b, subset, x, inv_gamma * t, xp
             )
             if in_para:
@@ -383,9 +406,9 @@ class TestNontangential:
 
 class TestLargestSubset:
     def test_ties_lexicographic(self, cone_b):
-        assert cg.largest_subset(cone_b, [1.0, 1.0, 1.0]) == (0, 1)
-        assert cg.largest_subset(cone_b, [0.5, 1.0, 1.0]) == (1, 2)
-        assert cg.largest_subset(cone_b, [2.0, 0.5, 1.0]) == (0, 2)
+        assert largest_subset(cone_b, [1.0, 1.0, 1.0]) == (0, 1)
+        assert largest_subset(cone_b, [0.5, 1.0, 1.0]) == (1, 2)
+        assert largest_subset(cone_b, [2.0, 0.5, 1.0]) == (0, 2)
 
 
 class TestCauchySzego:
@@ -532,3 +555,12 @@ class TestJsonRoundTrip:
         back = cg.cone_from_json(path)
         assert back.n == cone_b.n and back.m == cone_b.m
         assert np.allclose(back.generators, cone_b.generators)
+
+    def test_missing_key_refused(self, tmp_path, cone_b):
+        path = tmp_path / "cone.json"
+        cg.cone_to_json(cone_b, path)
+        data = json.loads(path.read_text())
+        del data["m"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(BadShape, match=f"{re.escape(str(path))} has no key 'm'"):
+            cg.cone_from_json(path)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import largest_subset, parallelohedron_contains
 from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
@@ -66,9 +67,9 @@ def test_parallelohedron_inside_zonotope(cone, data):
     # 1.5 t_j: those in the parallelohedron must lie in R(0, t)
     t = data.draw(arrays(float, cone.m, elements=st.floats(0.05, 5.0)))
     frac = data.draw(arrays(float, (16, cone.n), elements=st.floats(-1.5, 1.5)))
-    subset = cg.largest_subset(cone, t)
+    subset = largest_subset(cone, t)
     xp = (frac * t[list(subset)]) @ cone.generators[list(subset)]
-    inside = [cg.parallelohedron_contains(cone, subset, np.zeros(cone.n), t, p) for p in xp]
+    inside = [parallelohedron_contains(cone, subset, np.zeros(cone.n), t, p) for p in xp]
     assert np.all(cg.rect_contains_many(cone, t, xp)[inside])
 
 
@@ -78,18 +79,16 @@ def test_gradient_magnitude_is_the_sum_over_choices(cone, data, seed):
     # gradient_magnitude_sq_field sums one transform per sign cell; the
     # reference sums |build_field|^2 over all 2^m X/T selectors.  The
     # input is random complex noise, not holomorphic, so every cell is
-    # filled.  A subset of n or more generators spans a valid sub-cone,
-    # whose full field is the reference
+    # filled.  Besides the cone itself, a random choice of n or more of
+    # its generators spans a valid sub-cone, checked the same way
     spec = gr.GridSpec(n=cone.n, sizes=(16,) * cone.n, box_half=4.0)
     rng = np.random.default_rng(seed)
     f = gr.GridFunction(spec, rng.normal(size=spec.sizes) + 1j * rng.normal(size=spec.sizes))
     size = data.draw(st.integers(cone.n, cone.m))
     subset = sorted(data.draw(st.permutations(range(cone.m)))[:size])
-    for sub in (None, subset):
-        mus = range(cone.m) if sub is None else sub
-        sub_cone = cg.validate_cone(cone.generators[list(mus)])
+    for sub_cone in (cone, cg.validate_cone(cone.generators[subset])):
         lat = po.TLattice(m=sub_cone.m, t_min=0.3, ratio=2.0, levels=2)
-        got = po.gradient_magnitude_sq_field(f, cone, lat, subset=sub).values
+        got = po.gradient_magnitude_sq_field(f, sub_cone, lat).values
         want = sum(np.abs(po.build_field(f, sub_cone, lat, selector=dict(enumerate(c))).values) ** 2
                    for c in itertools.product((po.X_CHOICE, po.T_CHOICE), repeat=sub_cone.m))
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()

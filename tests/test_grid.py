@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tubeharm import grid as gr
-from tubeharm.errors import BadShape, NonFiniteValues, ShapeMismatch
+from tubeharm.errors import BadShape, NonFiniteValues
 
 
 @pytest.fixture
@@ -79,13 +79,6 @@ class TestFourier:
         space = gr.lp_norm(f, 2) ** 2
         freq = np.sum(np.abs(fhat.values) ** 2) / (2 * spec2d.box_half) ** 2
         assert abs(space - freq) < 1e-10 * space
-
-    def test_domain_tags_enforced(self, spec2d):
-        f = random_grid(spec2d)
-        with pytest.raises(ShapeMismatch):
-            gr.fourier_inverse(f)
-        with pytest.raises(ShapeMismatch):
-            gr.fourier_forward(gr.fourier_forward(f))
 
 
 class TestMultiplier:
@@ -190,7 +183,6 @@ class TestIO:
         gr.write_tgf(path, f)
         back = gr.read_tgf(path)
         assert back.spec == f.spec
-        assert back.domain_tag == f.domain_tag
         assert np.array_equal(back.values, f.values)
         assert back.values.flags.writeable
 
@@ -199,9 +191,20 @@ class TestIO:
         path = tmp_path / "g.tgf"
         gr.write_tgf(path, f)
         raw = path.read_bytes()
-        assert raw[:4] == b"TGF1"
+        assert raw[:4] == b"TGF2"
         assert int.from_bytes(raw[4:8], "little") == 1
         assert int.from_bytes(raw[8:12], "little") == 256
+        assert np.frombuffer(raw[12:20], dtype="<f8")[0] == spec1d.box_half
+        assert len(raw) == 20 + 16 * 256
+
+    def test_tgf_box_half_stored_once(self, tmp_path):
+        # TGF1 wrote one box_half per axis and read back only the first
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        path = tmp_path / "f.tgf"
+        gr.write_tgf(path, gr.GridFunction(spec, np.zeros(spec.sizes)))
+        raw = path.read_bytes()
+        assert np.frombuffer(raw[16:24], dtype="<f8")[0] == 4.0
+        assert len(raw) == 24 + 16 * spec.npoints
 
     def test_payload_is_interleaved_f64_pairs(self, tmp_path, spec1d):
         f = random_grid(spec1d, 10)
@@ -215,7 +218,7 @@ class TestIO:
         path = tmp_path / "f.tgf"
         gr.write_tgf(path, random_grid(spec1d, 13))
         path.write_bytes(b"TGFH" + path.read_bytes()[4:])
-        with pytest.raises(BadShape, match="not a TGF1 file: magic b'TGFH'"):
+        with pytest.raises(BadShape, match="not a TGF2 file: magic b'TGFH'"):
             gr.read_tgf(path)
 
     def test_truncated_payload(self, tmp_path, spec1d):
@@ -227,11 +230,10 @@ class TestIO:
         with pytest.raises(BadShape, match=message):
             gr.read_tgf(path)
 
-    def test_unknown_domain_tag(self, tmp_path, spec1d):
+    def test_trailing_bytes_rejected(self, tmp_path, spec1d):
+        # 7 appended bytes used to read back without error
         path = tmp_path / "f.tgf"
         gr.write_tgf(path, random_grid(spec1d, 12))
-        raw = bytearray(path.read_bytes())
-        raw[4 + 4 + 4 + 8] = 7  # magic, n, one size, one box_half, then the tag
-        path.write_bytes(bytes(raw))
-        with pytest.raises(BadShape, match="unknown domain tag code 7"):
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(BadShape, match="7 trailing bytes after the payload"):
             gr.read_tgf(path)

@@ -1,7 +1,7 @@
 """Guards on the package as a whole: no empty modules, no exception
 class without a raiser, no public function that only tests call, no
-console script that does not import, and no eager import of
-scipy.spatial, scipy.fft or numpy.ma."""
+console script that does not import, and no eager import of scipy or
+numpy.ma."""
 
 import ast
 import importlib
@@ -60,8 +60,7 @@ def test_public_functions_have_a_non_test_caller():
     # than the def itself counts as a caller.  The functions listed have
     # none and are kept on purpose: the JSON and STF readers and writers
     # are file-format API; the centred transforms are the tests' reference
-    # for the node loop, and the benchmark traces them by name (a string);
-    # the operators will decide the fate of the parallelohedron helpers
+    # for the node loop, and the benchmark traces them by name (a string)
     defined = set()
     referenced = set()
     for path in [*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")]:
@@ -77,7 +76,6 @@ def test_public_functions_have_a_non_test_caller():
     assert defined - referenced == {
         "cone_from_json", "cone_to_json", "write_stf", "read_stf",
         "fourier_forward", "fourier_inverse",
-        "parallelohedron_contains", "largest_subset",
     }
 
 
@@ -89,10 +87,10 @@ def test_console_scripts_import():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-def _loaded_after(script: str, *modules: str) -> set:
-    """Those of `modules` that are in sys.modules after `script` runs in
-    a fresh interpreter."""
-    script += f"import sys\nprint(*(m for m in {modules!r} if m in sys.modules))\n"
+def _loaded_after(script: str) -> set:
+    """The names in sys.modules after `script` runs in a fresh
+    interpreter."""
+    script += "import sys\nprint(*sys.modules)\n"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
@@ -108,13 +106,19 @@ def test_planar_kernel_leaves_scipy_spatial_unimported():
         "c = cone.validate_cone([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])\n"
         "cone.cauchy_szego(c, [0.1 + 1.0j, -0.2 + 1.0j])\n"
     )
-    assert not _loaded_after(script, "scipy.spatial")
+    assert "scipy.spatial" not in _loaded_after(script)
+
+
+def _scipy(loaded: set) -> set:
+    return {name for name in loaded if name.partition(".")[0] == "scipy"}
 
 
 def test_poisson_fields_leave_scipy_fft_unimported():
-    # scipy.fft is faster per transform than numpy.fft, but importing it
-    # costs about 27 MiB of peak RSS and 0.37 s; numpy.ma, which np.unique
-    # on an integer array imports, costs about 1.6 MiB
+    # no scipy module at all: scipy.fft is faster per transform than
+    # numpy.fft, but importing it costs about 27 MiB of peak RSS and
+    # 0.37 s, and any import here lands on the benchmark's setup time;
+    # numpy.ma, which np.unique on an integer array imports, costs about
+    # 1.6 MiB
     script = (
         "import numpy as np\n"
         "import tubeharm\n"
@@ -126,4 +130,23 @@ def test_poisson_fields_leave_scipy_fft_unimported():
         "poisson.build_field(f, c, lat)\n"
         "poisson.gradient_magnitude_sq_field(f, c, lat)\n"
     )
-    assert _loaded_after(script, "scipy.fft", "numpy.ma") == set()
+    loaded = _loaded_after(script)
+    assert _scipy(loaded) == set()
+    assert "numpy.ma" not in loaded
+
+
+def test_spectral_fields_leave_scipy_unimported():
+    # the same guard on the direct-summation path, on a planar cone whose
+    # dual has n rays (a larger dual needs scipy.spatial's Delaunay)
+    script = (
+        "import tubeharm\n"
+        "from tubeharm import cone, grid, poisson, spectral\n"
+        "c = cone.validate_cone([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])\n"
+        "spec = grid.GridSpec(n=2, sizes=(16, 16), box_half=4.0)\n"
+        "stf = spectral.make_bump_psi(c.dual, [1.0, 1.0], 0.4, nodes_per_axis=8)\n"
+        "lat = poisson.TLattice(m=3, t_min=0.5, levels=2)\n"
+        "spectral.boundary_grid(stf, spec)\n"
+        "spectral.lift_field(stf, c, lat, spec)\n"
+        "spectral.gradient_magnitude_sq_lift(stf, c, lat, spec)\n"
+    )
+    assert _scipy(_loaded_after(script)) == set()

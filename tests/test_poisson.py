@@ -7,14 +7,7 @@ import pytest
 from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
-from tubeharm.errors import (
-    BadShape,
-    EmptySelector,
-    LengthMismatch,
-    NonFiniteValues,
-    OutOfMemoryBudget,
-    ShapeMismatch,
-)
+from tubeharm.errors import BadShape, LengthMismatch, NonFiniteValues, OutOfMemoryBudget
 
 
 @pytest.fixture
@@ -33,14 +26,34 @@ class TestLattice:
         lat = po.TLattice(m=2, t_min=0.25, ratio=2.0, levels=4)
         assert np.allclose(lat.axis_values, [0.25, 0.5, 1.0, 2.0])
 
-    def test_weights_match_cells(self):
-        lat = po.TLattice(m=1, t_min=0.5, ratio=2.0, levels=3)
-        v = lat.axis_values
-        edges = [v[0] / np.sqrt(2), np.sqrt(v[0] * v[1]),
-                 np.sqrt(v[1] * v[2]), v[2] * np.sqrt(2)]
-        for i, w in enumerate(lat.axis_weights):
-            assert np.isclose(w, 0.5 * (edges[i + 1] ** 2 - edges[i] ** 2))
-        assert np.all(lat.axis_weights > 0)
+    @staticmethod
+    def _covering(m, ratio):
+        """Lattice from t = 1e-4 to just past t = 13."""
+        levels = int(np.ceil(np.log(13e4) / np.log(ratio))) + 1
+        return po.TLattice(m=m, t_min=1e-4, ratio=ratio, levels=levels)
+
+    @staticmethod
+    def _integrand(a, t):
+        # against t dt, (2 pi a)^2 e^{-4 pi a t} integrates to 1/4 over
+        # t > 0 for every a > 0: |grad u|^2 of one exponential
+        return (2 * np.pi * a) ** 2 * np.exp(-4 * np.pi * a * t)
+
+    def test_weights_integrate_t_dt(self):
+        # the cell rule 0.5 (hi^2 - lo^2) overshot this by 2.0 % at
+        # r = sqrt 2 and by 8.2 % at r = 2
+        for ratio, tol in ((np.sqrt(2.0), 1e-5), (2.0, 2e-4)):
+            lat = self._covering(1, ratio)
+            for a in np.linspace(0.1, 2.9, 29):
+                total = lat.axis_weights @ self._integrand(a, lat.axis_values)
+                assert abs(total - 0.25) < tol
+
+    def test_node_weights_are_axis_products(self):
+        # the m = 2 product of two such integrals is (1/4)^2
+        lat = self._covering(2, 2.0)
+        t = lat.nodes()
+        for a0, a1 in ((0.3, 1.7), (2.5, 0.1)):
+            values = self._integrand(a0, t[:, 0]) * self._integrand(a1, t[:, 1])
+            assert abs(lat.weights() @ values - 0.0625) < 1e-5
 
     def test_node_order_lexicographic(self):
         lat = po.TLattice(m=2, t_min=1.0, ratio=2.0, levels=2)
@@ -166,11 +179,6 @@ class TestMixedGradient:
             resid = np.max(np.abs(xx.values + tt.values))
             assert resid < 1e-6 * np.max(np.abs(gaussian.values))
 
-    def test_empty_selector(self, cone_b, gaussian):
-        lat = po.TLattice(m=3, t_min=0.3, levels=1)
-        with pytest.raises(EmptySelector):
-            po.gradient_magnitude_sq_field(gaussian, cone_b, lat, subset=())
-
 
 class TestBuildField:
     def test_single_node(self, cone_b, gaussian, centred):
@@ -198,27 +206,31 @@ class TestBuildField:
                     nxt[mu] += 1
                     assert sups[tuple(nxt)] <= sups[idx] * (1 + 1e-12)
 
-    def test_budget(self, spec, cone_b, gaussian):
+    def test_budget(self, spec, cone_b, gaussian, monkeypatch):
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", 100)
         lat = po.TLattice(m=3, t_min=0.4, levels=2)
         with pytest.raises(OutOfMemoryBudget):
-            po.build_field(gaussian, cone_b, lat, budget=100)
+            po.build_field(gaussian, cone_b, lat)
 
-    def test_budget_counts_loop_peak(self, cone_b):
+    def test_budget_counts_loop_peak(self, cone_b, monkeypatch):
         # the 8 float64 nodes fit in 4 * 1024 elements, the gradient
         # loop's spectra, one per nonempty sign cell (6 of the 8 for
         # cone_b), need 6 * 1024 more
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
         f = gr.GridFunction(spec, np.ones(spec.sizes))
         lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", 8 * 1024)
         with pytest.raises(OutOfMemoryBudget, match="exceeds budget 8192") as err:
-            po.gradient_magnitude_sq_field(f, cone_b, lat, budget=8 * 1024)
+            po.gradient_magnitude_sq_field(f, cone_b, lat)
         # output and square buffer 4.5, f-hat, 6 cell spectra and spectrum
         # buffer 8, dots, tables and decay buffer (3 + 6 + 1) / 2
         assert err.value.needed == (4.5 + 8 + 5) * 1024
         assert f"peak {err.value.needed:.1f}" in str(err.value)
-        po.gradient_magnitude_sq_field(f, cone_b, lat, budget=int(err.value.needed))
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", int(err.value.needed))
+        po.gradient_magnitude_sq_field(f, cone_b, lat)
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", lat.node_count * spec.npoints)
         with pytest.raises(OutOfMemoryBudget):
-            po.build_field(f, cone_b, lat, budget=lat.node_count * spec.npoints)
+            po.build_field(f, cone_b, lat)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_rejected(self, cone_b, bad):
@@ -231,11 +243,6 @@ class TestBuildField:
             po.build_field(f, cone_b, lat)
         with pytest.raises(NonFiniteValues, match="1 of 1024 samples"):
             po.gradient_magnitude_sq_field(f, cone_b, lat)
-
-    def test_frequency_input_rejected(self, cone_b, gaussian):
-        lat = po.TLattice(m=3, t_min=0.5, levels=1)
-        with pytest.raises(ShapeMismatch):
-            po.build_field(gr.fourier_forward(gaussian), cone_b, lat)
 
     def test_selector_nodes_match_centred_definition(self, cone_b, centred):
         # an off-centre, non-symmetric input and an odd X factor, against
@@ -255,13 +262,10 @@ class TestBuildField:
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
         x1, x2 = spec.coords()
         f = gr.GridFunction(spec, np.exp(-(x1**2 + x2**2)))
-        # with a subset, the reference is the full field of the cone
-        # spanned by the selected generators
-        for subset in (None, (0, 2)):
-            mus = range(cone_b.m) if subset is None else subset
-            sub_cone = cg.validate_cone(cone_b.generators[list(mus)])
+        # cone_b and the cone spanned by its generators 0 and 2
+        for sub_cone in (cone_b, cg.validate_cone(cone_b.generators[[0, 2]])):
             lat = po.TLattice(m=sub_cone.m, t_min=0.5, levels=2)
-            fld = po.gradient_magnitude_sq_field(f, cone_b, lat, subset=subset)
+            fld = po.gradient_magnitude_sq_field(f, sub_cone, lat)
             acc = np.zeros(fld.values.shape)
             for choices in itertools.product("XT", repeat=sub_cone.m):
                 sel = {mu: c for mu, c in enumerate(choices)}
@@ -276,35 +280,39 @@ class TestSignCells:
     # 2 sum_{k<n} C(m-1, k) of the 2^m; the budget's refusal names the
     # count
 
-    @staticmethod
-    def _refusal(cone, size):
-        spec = gr.GridSpec(n=cone.n, sizes=(size,) * cone.n, box_half=8.0)
-        f = gr.GridFunction(spec, np.ones(spec.sizes))
-        lat = po.TLattice(m=cone.m, t_min=0.5, levels=1)
-        with pytest.raises(OutOfMemoryBudget) as err:
-            po.gradient_magnitude_sq_field(f, cone, lat, budget=1)
-        return str(err.value)
+    @pytest.fixture
+    def refusal(self, monkeypatch):
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", 1)
 
-    def test_cone_b_six_of_eight(self, cone_b):
+        def message(cone, size):
+            spec = gr.GridSpec(n=cone.n, sizes=(size,) * cone.n, box_half=8.0)
+            f = gr.GridFunction(spec, np.ones(spec.sizes))
+            lat = po.TLattice(m=cone.m, t_min=0.5, levels=1)
+            with pytest.raises(OutOfMemoryBudget) as err:
+                po.gradient_magnitude_sq_field(f, cone, lat)
+            return str(err.value)
+        return message
+
+    def test_cone_b_six_of_eight(self, cone_b, refusal):
         # xi_1 > 0, xi_2 > 0 and xi_1 + xi_2 < 0 cannot hold together, nor
         # can the opposite pattern
-        assert ", 6 spectra:" in self._refusal(cone_b, 32)
+        assert ", 6 spectra:" in refusal(cone_b, 32)
 
-    def test_planar_four_generators_eight_of_sixteen(self):
+    def test_planar_four_generators_eight_of_sixteen(self, refusal):
         # in the plane each generator's line through 0 adds two cells: 2m
         angles = np.array([0.3, 0.7, 1.1, 1.4])
         cone = cg.validate_cone(np.column_stack([np.cos(angles), np.sin(angles)]))
-        assert ", 8 spectra:" in self._refusal(cone, 32)
+        assert ", 8 spectra:" in refusal(cone, 32)
 
-    def test_three_dimensional_fourteen_of_sixteen(self):
+    def test_three_dimensional_fourteen_of_sixteen(self, refusal):
         gens = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
         cone = cg.validate_cone(gens / np.linalg.norm(gens, axis=1, keepdims=True))
-        assert ", 14 spectra:" in self._refusal(cone, 16)
+        assert ", 14 spectra:" in refusal(cone, 16)
 
 
 class TestGeneratorIndices:
     # cone_b has m = 3: -1 must not wrap round to generator 2, and 3 must
-    # not reach a bare IndexError
+    # not reach a bare IndexError; a dict cannot repeat a key
 
     @pytest.mark.parametrize("key", [-1, 3])
     def test_selector_key_refused(self, cone_b, gaussian, key):
@@ -312,16 +320,6 @@ class TestGeneratorIndices:
         with pytest.raises(BadShape, match=rf"selector key {key} is not a generator "
                                            rf"index in range\(3\)"):
             po.build_field(gaussian, cone_b, lat, selector={key: po.X_CHOICE})
-
-    @pytest.mark.parametrize("subset, message", [
-        ((-1, 0), r"subset entry -1 is not a generator index in range\(3\)"),
-        ((0, 3), r"subset entry 3 is not a generator index in range\(3\)"),
-        ((0, 0), r"subset entry 0 is repeated \(m = 3\)"),
-    ])
-    def test_subset_entry_refused(self, cone_b, gaussian, subset, message):
-        lat = po.TLattice(m=2, t_min=0.5, levels=1)
-        with pytest.raises(BadShape, match=message):
-            po.gradient_magnitude_sq_field(gaussian, cone_b, lat, subset=subset)
 
 
 class TestDecayBound:
@@ -366,6 +364,21 @@ class TestFieldIO:
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BadShape, match=r"lists 7 nodes, the lattice has 8; "
                                            r"row 7: expected 't_01_01_01.tgf', found None"):
+            po.read_field(path)
+
+    @pytest.mark.parametrize("key", ["selector", "grid.box_half"])
+    def test_missing_key_rejected(self, tmp_path, cone_b, key):
+        # a manifest without "selector" used to raise a bare KeyError
+        path = self._written(tmp_path, cone_b)
+        manifest = json.loads((path / "manifest.json").read_text())
+        *parents, last = key.split(".")
+        where = manifest
+        for name in parents:
+            where = where[name]
+        del where[last]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadShape, match=rf"manifest.json{' grid' if parents else ''} "
+                                           rf"has no key '{last}'"):
             po.read_field(path)
 
     def test_node_grid_mismatch_rejected(self, tmp_path, cone_b):

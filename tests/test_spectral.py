@@ -392,3 +392,12 @@ class TestIO:
         size = per_node * len(bump.weights)
         with pytest.raises(BadShape, match=f"1 of {size} {what}"):
             sp.read_stf(path)
+
+    def test_missing_key_refused(self, tmp_path, bump):
+        path = tmp_path / "stf.json"
+        sp.write_stf(path, bump)
+        data = json.loads(path.read_text())
+        del data["weights"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(BadShape, match="stf.json has no key 'weights'"):
+            sp.read_stf(path)
