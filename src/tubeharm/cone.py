@@ -287,9 +287,17 @@ def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> boo
     return np.count_nonzero(inside) == inside.size
 
 
+def _rows(cone: PolyhedralCone, rows) -> np.ndarray:
+    """`rows` as floats whose last axis has length n, else LengthMismatch."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1:] != (cone.n,):
+        raise LengthMismatch(f"rows must have width n = {cone.n}, got shape {rows.shape}")
+    return rows
+
+
 def rect_contains_many(cone: PolyhedralCone, radii, offsets) -> np.ndarray:
     """Vectorized membership of offset rows in R(0, radii)."""
-    offsets = np.asarray(offsets, dtype=float)
+    offsets = _rows(cone, offsets)
     bound = _member_bound(zonotope_support(cone, radii))
     return np.all(np.abs(offsets @ cone.facet_normals.T) <= bound, axis=-1)
 
@@ -303,7 +311,7 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
     """
     if not isinstance(axis, (int, np.integer)) or not 0 <= axis < cone.n:
         raise BadShape(f"axis {axis!r} is not a coordinate index in range({cone.n})")
-    transverse = np.asarray(transverse, dtype=float)
+    transverse = _rows(cone, transverse)
     bound = _member_bound(zonotope_support(cone, radii))
     lo = np.full(transverse.shape[0], -np.inf)
     hi = np.full(transverse.shape[0], np.inf)

@@ -42,8 +42,9 @@ class GridSpec:
         if len(self.sizes) != self.n:
             raise BadShape("one size per axis required")
         for s in self.sizes:
-            if s < 16 or (s & (s - 1)) != 0:
-                raise BadShape("sizes must be powers of two, at least 16")
+            if not isinstance(s, (int, np.integer)) or s < 16 or (s & (s - 1)) != 0:
+                raise BadShape(f"sizes must be integer powers of two, at least 16, "
+                               f"got {self.sizes}")
         if not (0 < self.box_half < np.inf):  # NaN fails this too
             raise BadShape(f"box_half must be finite and positive, got {self.box_half}")
         # isotropic grid: every axis shares one spacing
@@ -55,19 +56,17 @@ class GridSpec:
     def h(self) -> float:
         return 2.0 * self.box_half / self.sizes[0]
 
-    def axis_coords(self, axis: int = 0) -> np.ndarray:
-        size = self.sizes[axis]
-        return -self.box_half + self.h * np.arange(size)
+    def axis_coords(self, axis: int) -> np.ndarray:
+        return -self.box_half + self.h * np.arange(self.sizes[axis])
 
     def coords(self) -> list:
         """Per-axis spatial coordinates (open meshgrid)."""
         axes = [self.axis_coords(a) for a in range(self.n)]
         return list(np.meshgrid(*axes, indexing="ij", sparse=True))
 
-    def freq_axis(self, axis: int = 0) -> np.ndarray:
+    def freq_axis(self, axis: int) -> np.ndarray:
         size = self.sizes[axis]
-        k = np.arange(-size // 2, size // 2)
-        return k / (2.0 * self.box_half)
+        return np.arange(-size // 2, size // 2) / (2.0 * self.box_half)
 
     def freqs(self) -> list:
         axes = [self.freq_axis(a) for a in range(self.n)]

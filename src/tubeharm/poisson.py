@@ -9,8 +9,9 @@ factors: 2 pi i (e_mu . xi) for the spatial choice and -2 pi |e_mu . xi|
 for the d/dt choice.  `build_field` and `gradient_magnitude_sq_field`
 evaluate them at every node of a `TLattice`; for one scale t, with every
 t_mu = t, pass the one-node lattice `TLattice(m, t_min=t, levels=1)`.
-Both run over all m generators, on an m-parameter lattice, and refuse a
-node loop whose peak passes DEFAULT_BUDGET complex elements.
+Both run over all m generators, on an m-parameter lattice, on the one
+node loop `_node_spectra`, which also serves `spectral` on the nodes of a
+test function and refuses a peak past DEFAULT_BUDGET complex elements.
 
 Sign cells: where e_mu . xi != 0 the T factor is the X factor times
 i sgn(e_mu . xi), and where it is 0 both vanish.  With v_sigma the all-X
@@ -18,9 +19,8 @@ component cut to the cell {sgn(e_mu . xi) = sigma_mu for every mu}, each
 component is sum_sigma c_sigma v_sigma with unimodular c_sigma that are
 orthogonal over the 2^m choices, so exactly
     sum over choices |component|^2 = 2^m sum_sigma |v_sigma|^2.
-At most 2 sum_{k<n} C(m-1, k) cells are nonempty (6 of 8 for the axes
-and the diagonal of the plane); a spectrum in the closed dual cone fills
-one.
+At most 2 sum_{k<n} C(m-1, k) cells are nonempty on the grid (6 of 8
+for the axes and the diagonal of the plane).
 """
 
 from __future__ import annotations
@@ -69,9 +69,7 @@ class TLattice:
             raise BadShape(f"need finite t_min > 0 and ratio > 1, got "
                            f"t_min={self.t_min}, ratio={self.ratio}")
         if self.levels**self.m > MAX_NODES:
-            raise BadShape(
-                f"{self.levels}^{self.m} nodes exceed the cap {MAX_NODES}"
-            )
+            raise BadShape(f"{self.levels}^{self.m} nodes exceed the cap {MAX_NODES}")
 
     @property
     def axis_values(self) -> np.ndarray:
@@ -90,31 +88,22 @@ class TLattice:
         return itertools.product(range(self.levels), repeat=self.m)
 
     def nodes(self) -> np.ndarray:
-        vals = self.axis_values
-        out = np.empty((self.node_count, self.m))
-        for row, idx in enumerate(self.indices()):
-            out[row] = vals[list(idx)]
-        return out
+        return np.array(list(itertools.product(self.axis_values, repeat=self.m)))
 
     def weights(self) -> np.ndarray:
-        w = self.axis_weights
-        return np.array([np.prod(w[list(idx)]) for idx in self.indices()])
+        return np.prod(list(itertools.product(self.axis_weights, repeat=self.m)), axis=1)
 
 
-def default_lattice(spec: gr.GridSpec, m: int, levels: int = DEFAULT_LEVELS,
-                    ratio: float = DEFAULT_RATIO) -> TLattice:
+def default_lattice(spec: gr.GridSpec, m: int, levels: int = DEFAULT_LEVELS) -> TLattice:
     """Lattice anchored at t_min = 2h: the kernel must be resolved by at
     least two samples per width."""
-    return TLattice(m=m, t_min=2.0 * spec.h, ratio=ratio, levels=levels)
+    return TLattice(m=m, t_min=2.0 * spec.h, levels=levels)
 
 
 def _axis_dots(spec: gr.GridSpec, cone: PolyhedralCone) -> list:
     """Per-generator e_mu . xi over the open frequency mesh."""
     freqs = spec.freqs()
-    return [
-        sum(cone.generators[mu, k] * freqs[k] for k in range(spec.n))
-        for mu in range(cone.m)
-    ]
+    return [sum(g_k * x for g_k, x in zip(g, freqs)) for g in cone.generators]
 
 
 def poisson_decay(dots, t) -> np.ndarray:
@@ -126,22 +115,24 @@ def poisson_decay(dots, t) -> np.ndarray:
     return np.exp(-2.0 * np.pi * sum(t_mu * np.abs(d) for t_mu, d in zip(t, dots)))
 
 
+def _check_selector(selector: dict, m: int) -> None:
+    """BadShape unless each key is an int in range(m) and each choice X or T."""
+    for key, choice in selector.items():
+        if not isinstance(key, (int, np.integer)) or not 0 <= key < m:
+            raise BadShape(f"selector key {key!r} is not a generator index in range({m})")
+        if choice not in (X_CHOICE, T_CHOICE):
+            raise BadShape(f"unknown gradient choice {choice!r}")
+
+
 def gradient_factor(dots, selector: dict):
     """Mixed-gradient symbol: 2 pi i (e_mu . xi) for an X choice and
     -2 pi |e_mu . xi| for a T choice, multiplied over the selected mu
-    (1 for an empty selector).  Each key must be an int in range(len(dots))."""
-    for key in selector:
-        if not isinstance(key, (int, np.integer)) or not 0 <= key < len(dots):
-            raise BadShape(f"selector key {key!r} is not a generator index "
-                           f"in range({len(dots)})")
+    (1 for an empty selector)."""
+    _check_selector(selector, len(dots))
     out = 1.0
     for mu, choice in sorted(selector.items()):
-        if choice == X_CHOICE:
-            out = out * (2j * np.pi * dots[mu])
-        elif choice == T_CHOICE:
-            out = out * (-2.0 * np.pi * np.abs(dots[mu]))
-        else:
-            raise BadShape(f"unknown gradient choice {choice!r}")
+        out = out * (2j * np.pi * dots[mu] if choice == X_CHOICE
+                     else -2.0 * np.pi * np.abs(dots[mu]))
     return out
 
 
@@ -166,59 +157,63 @@ class OperatorField:
         return gr.GridFunction(self.spec, self.values[row])
 
 
-def _check_budget(spec: gr.GridSpec, lattice: TLattice, spectra: int, output: float) -> None:
+def _check_budget(frequencies: int, lattice: TLattice, spectra: int, output: float) -> None:
     """Raise OutOfMemoryBudget unless the node loop's peak fits DEFAULT_BUDGET.
 
-    Counted in complex elements, a float64 as 1/2, per grid point: the
-    caller's `output`, f-hat, the `spectra` weighted spectra, the spectrum
-    buffer, the per-generator dots, the m * levels decay tables and the
-    decay buffer."""
+    Counted in complex elements, a float64 as 1/2: the caller's `output`,
+    and per frequency of the loop's input the spectrum, the `spectra`
+    weighted spectra, the spectrum buffer, the per-generator dots, the
+    m * levels decay tables and the decay buffer."""
     floats = lattice.m * (lattice.levels + 1) + 1
-    needed = output + spec.npoints * (spectra + 2 + floats / 2)
+    needed = output + frequencies * (spectra + 2 + floats / 2)
     if needed > DEFAULT_BUDGET:
-        raise OutOfMemoryBudget(
-            needed, DEFAULT_BUDGET,
-            f"{lattice.node_count} nodes x {spec.npoints} points, {spectra} spectra",
-        )
+        raise OutOfMemoryBudget(needed, DEFAULT_BUDGET, f"{lattice.node_count} nodes x "
+                                f"{frequencies} frequencies, {spectra} spectra")
 
 
-def _node_spectra(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
-                  selector, output: float):
-    """Check the lattice against the cone and the budget (`output` is
-    the caller's share), then return an iterator over the lattice nodes
-    in row order that yields each node's spectra lazily: f times the
-    decay over all m generators and `selector`'s factor, or for
+def _node_spectra(dots, coeffs: np.ndarray, lattice: TLattice, selector, output: float):
+    """Check the lattice against the generators and the budget (`output`
+    is the caller's share), then return an iterator over the lattice
+    nodes in row order that yields each node's spectra lazily: `coeffs`
+    times the decay over all m generators and `selector`'s factor, or for
     `selector` None the all-X factor cut by sign cell.
 
-    Spectra are unscaled and in FFT order, so by the shift identity of
-    the `grid` module docstring `np.fft.ifftn` of one is the component in
-    space.  One forward transform per call, and per node a product of m
-    decay tables.  All spectra share one buffer: each must be consumed
-    before the next is drawn."""
-    if lattice.m != cone.m:
+    `dots[mu]` holds e_mu . xi and `coeffs` the spectrum, of one shape,
+    over any set of frequencies xi.  The factor is multiplied into
+    `coeffs`, so pass a fresh array.  Per node a product of m decay
+    tables; all spectra share one buffer, each consumed before the next."""
+    if lattice.m != len(dots):
         raise LengthMismatch("lattice parameter count != generator count")
-    require_finite(f.values, f.values.sum())
-    dots = [np.fft.ifftshift(d) for d in _axis_dots(f.spec, cone)]
     masks = [None]
     if selector is None:
         # bit mu: e_mu . xi > 0.  np.unique would import numpy.ma
         code = sum((d > 0).astype(np.intp) << mu for mu, d in enumerate(dots))
         masks = [code == c for c in np.flatnonzero(np.bincount(code.ravel()))]
-        selector = dict.fromkeys(range(cone.m), X_CHOICE)
-    _check_budget(f.spec, lattice, len(masks), output)
-    product = np.fft.fftn(f.values) * gradient_factor(dots, selector)
+        selector = dict.fromkeys(range(len(dots)), X_CHOICE)
+    _check_budget(coeffs.size, lattice, len(masks), output)
+    product = np.multiply(coeffs, gradient_factor(dots, selector), out=coeffs)
     weighted = [product if mask is None else product * mask for mask in masks]
     tables = [[poisson_decay([d], [v]) for v in lattice.axis_values] for d in dots]
 
     def nodes():
-        decay = np.empty(f.spec.sizes)
-        spectrum = np.empty(f.spec.sizes, dtype=np.complex128)
+        decay = np.empty(coeffs.shape)
+        spectrum = np.empty(coeffs.shape, dtype=np.complex128)
         for idx in lattice.indices():
             decay[...] = tables[0][idx[0]]
             for table, k in zip(tables[1:], idx[1:]):
                 decay *= table[k]
             yield (np.multiply(w, decay, out=spectrum) for w in weighted)
     return nodes()
+
+
+def _grid_spectra(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
+                  selector, output: float):
+    """The node loop on f's transform: spectra are unscaled and in FFT
+    order, so `np.fft.ifftn` of one is the component in space (the shift
+    identity of the `grid` module docstring)."""
+    require_finite(f.values, f.values.sum())
+    dots = [np.fft.ifftshift(d) for d in _axis_dots(f.spec, cone)]
+    return _node_spectra(dots, np.fft.fftn(f.values), lattice, selector, output)
 
 
 def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
@@ -230,7 +225,7 @@ def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
     `selector` maps generator indices in range(cone.m) to X_CHOICE or
     T_CHOICE; the field is then that mixed derivative."""
     out = np.empty((lattice.node_count, *f.spec.sizes), dtype=np.complex128)
-    nodes = _node_spectra(f, cone, lattice, selector or {},
+    nodes = _grid_spectra(f, cone, lattice, selector or {},
                           lattice.node_count * f.spec.npoints)
     for row, (spectrum,) in enumerate(nodes):
         np.fft.ifftn(spectrum, out=out[row])
@@ -249,7 +244,7 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
     output = (lattice.node_count + 1) * f.spec.npoints / 2
     out = np.zeros((lattice.node_count, *f.spec.sizes))
     square = np.empty(f.spec.sizes)
-    nodes = _node_spectra(f, cone, lattice, None, output)
+    nodes = _grid_spectra(f, cone, lattice, None, output)
     for row, spectra in enumerate(nodes):
         for spectrum in spectra:
             component = np.fft.ifftn(spectrum, out=spectrum)
@@ -314,6 +309,7 @@ def read_field(dirpath) -> OperatorField:
             raise BadShape(f"{name}: expected the manifest grid {spec}, found {node.spec}")
         values[row] = node.values
     if selector is not None:
-        selector = {int(k): v for k, v in selector.items()}
+        selector = {int(k) if k.isdecimal() else k: v for k, v in selector.items()}
+        _check_selector(selector, m)
     return OperatorField(lattice=lattice, spec=spec, values=values,
                          selector=selector)

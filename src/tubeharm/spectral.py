@@ -4,8 +4,9 @@ A quadrature-discretized smooth bump psi supported inside the dual cone
 defines F(z) = sum_k w_k psi_k exp(2 pi i z . xi_k), a genuine
 holomorphic function on the tube domain: every term is an exponential
 with frequency in the dual cone, so the continuous reproducing identity
-holds exactly for F, and the spectrum fills one sign cell (`poisson`
-module docstring).  Two conditions bound what F is good for:
+holds exactly for F.  The lifts run the Poisson symbol over the nodes on
+`poisson`'s node loop, under its budget.  Two conditions bound what F is
+good for:
 
 - F is a finite sum of exponentials, so it stands for the integral of
   psi only inside its revival radius: with Delta the largest gap between
@@ -37,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gr
+from . import poisson as po
 from .cone import DualCone, PolyhedralCone
 from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, QuadratureRevival,
                      SupportEscapesDualCone)
-from .poisson import (DEFAULT_BUDGET, X_CHOICE, OperatorField, TLattice, gradient_factor,
-                      poisson_decay)
+from .poisson import OperatorField, TLattice
 from .util import lookup_keys
 
 DEFAULT_NODES_PER_AXIS = 24
@@ -88,11 +89,11 @@ class SpectralTestFunction:
         return complex(np.sum(self.weights * self.psi_vals))
 
 
-def make_bump_psi(dual: DualCone, center, radius: float, amplitude: float = 1.0,
+def make_bump_psi(dual: DualCone, center, radius: float,
                   nodes_per_axis: int = DEFAULT_NODES_PER_AXIS) -> SpectralTestFunction:
     """Tensor Gauss-Legendre discretization of a smooth bump.
 
-    psi(xi) = amplitude * exp(-1 / (1 - |xi - center|^2 / radius^2)) on
+    psi(xi) = exp(-1 / (1 - |xi - center|^2 / radius^2)) on
     the ball, zero outside.  The ball must sit inside the dual cone,
     checked against every halfspace with margin radius.  Nodes where psi
     vanishes are dropped so that all stored nodes lie in the cone.
@@ -118,13 +119,11 @@ def make_bump_psi(dual: DualCone, center, radius: float, amplitude: float = 1.0,
     mesh = np.meshgrid(*axis_nodes, indexing="ij")
     nodes = np.column_stack([m.ravel() for m in mesh])
     wmesh = np.meshgrid(*([radius * w_gl] * n), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for m in wmesh:
-        weights = weights * m.ravel()
+    weights = np.prod([m.ravel() for m in wmesh], axis=0)
     rho2 = np.sum((nodes - center) ** 2, axis=1) / radius**2
     psi = np.zeros(nodes.shape[0])
     inside = rho2 < 1.0
-    psi[inside] = amplitude * np.exp(-1.0 / (1.0 - rho2[inside]))
+    psi[inside] = np.exp(-1.0 / (1.0 - rho2[inside]))
     keep = psi != 0.0
     return SpectralTestFunction(
         nodes=nodes[keep], weights=weights[keep], psi_vals=psi[keep],
@@ -157,16 +156,14 @@ def _phases(spec: gr.GridSpec, nodes: np.ndarray) -> tuple:
     one (U_a, size_a) phase matrix exp(2 pi i xi_a x_a) per axis, built over
     those coordinates, and each node's per-axis index into them.  The grid
     must lie inside the nodes' revival radius, and the core of prod_a U_a
-    entries that `_contract` fills must fit `DEFAULT_BUDGET`: a tensor
-    spectrum such as `make_bump_psi`'s needs no more than its tensor grid,
-    a scattered one up to K^n."""
+    entries that `_contract` fills must fit `poisson.DEFAULT_BUDGET`."""
     _check_revival(nodes, spec.box_half)
     coords, index = zip(*(np.unique(nodes[:, a], return_inverse=True)
                           for a in range(spec.n)))
     core = math.prod(len(c) for c in coords)
-    if core > DEFAULT_BUDGET:
+    if core > po.DEFAULT_BUDGET:
         raise OutOfMemoryBudget(
-            core, DEFAULT_BUDGET,
+            core, po.DEFAULT_BUDGET,
             f"{len(nodes)} spectral nodes on a {' x '.join(str(len(c)) for c in coords)} core",
         )
     mats = [np.exp(2j * np.pi * np.outer(c, spec.axis_coords(a)))
@@ -179,9 +176,7 @@ def _contract(plan: tuple, coeffs: np.ndarray) -> np.ndarray:
 
     The coefficients are scattered onto the (U_0, ..., U_{n-1}) core of
     the plan, nodes sharing all coordinates adding up, and the core is
-    contracted with one phase matrix per axis (sum-factorization): the sum
-    over k of U_k ... U_{n-1} size_0 ... size_k complex multiply-adds
-    instead of K prod_a size_a."""
+    contracted with one phase matrix per axis (module docstring)."""
     mats, index = plan
     acc = np.zeros(tuple(len(q) for q in mats), dtype=np.complex128)
     np.add.at(acc, index, coeffs)
@@ -207,27 +202,19 @@ def boundary_grid(stf: SpectralTestFunction, spec: gr.GridSpec) -> gr.GridFuncti
     return slice_grid(stf, spec, y=None)
 
 
-def _node_slices(stf: SpectralTestFunction, cone: PolyhedralCone,
-                 lattice: TLattice, spec: gr.GridSpec, selector: dict):
-    """Per lattice node in row order, yield the selector's mixed
-    derivative of F at x + i project(t) on the grid, lazily.
-
-    The spectrum must lie in the dual cone, where the shared symbol's
-    |e_mu . xi| is e_mu . xi.  The plan and the factor are built once per
-    call and the decay once per node."""
-    if spec.n != stf.n:
-        raise LengthMismatch("grid and spectrum dimensions differ")
-    if lattice.m != cone.m:
-        raise LengthMismatch("lattice parameter count != generator count")
+def _lift_spectra(stf: SpectralTestFunction, cone: PolyhedralCone,
+                  lattice: TLattice, spec: gr.GridSpec, selector, output: float):
+    """The plan on the grid and `poisson._node_spectra` over the nodes of
+    `stf`, which must lie in the dual cone, where |e_mu . xi| = e_mu . xi:
+    `_contract` of a spectrum is that derivative of F at x + i project(t)."""
+    if not spec.n == cone.n == stf.n:
+        raise LengthMismatch("grid, cone and spectrum dimensions differ")
     dots = cone.generators @ stf.nodes.T  # (m, K): e_mu . xi_k
     if np.any(dots < 0):
-        raise SupportEscapesDualCone(
-            f"spectral nodes leave the dual cone (min e . xi = {dots.min():.3e})"
-        )
-    plan = _phases(spec, stf.nodes)
-    coeffs = stf.weights * stf.psi_vals * gradient_factor(dots, selector)
-    for t in lattice.nodes():
-        yield _contract(plan, coeffs * poisson_decay(dots, t))
+        raise SupportEscapesDualCone(f"spectral nodes leave the dual cone "
+                                     f"(min e . xi = {dots.min():.3e})")
+    nodes = po._node_spectra(dots, stf.weights * stf.psi_vals, lattice, selector, output)
+    return _phases(spec, stf.nodes), nodes
 
 
 def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
@@ -236,9 +223,11 @@ def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
     """Evaluate F(x + i project(t)) (or a mixed derivative of it) at
     every grid point and lattice node by direct spectral summation."""
     out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
-    nodes = _node_slices(stf, cone, lattice, spec, selector or {})
-    for row, values in enumerate(nodes):
-        out[row] = values
+    # the output and one node's contraction
+    plan, nodes = _lift_spectra(stf, cone, lattice, spec, selector or {},
+                                (lattice.node_count + 1) * spec.npoints)
+    for row, (spectrum,) in enumerate(nodes):
+        out[row] = _contract(plan, spectrum)
     return OperatorField(lattice=lattice, spec=spec, values=out,
                          selector=dict(selector) if selector else None)
 
@@ -246,12 +235,17 @@ def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
 def gradient_magnitude_sq_lift(stf: SpectralTestFunction, cone: PolyhedralCone,
                                lattice: TLattice, spec: gr.GridSpec) -> OperatorField:
     """Spectral-exact |grad_1 ... grad_m F|^2 summed over all 2^m
-    component choices, per lattice node (a float64 field): with one sign
-    cell (`poisson` module docstring), 2^m |all-X component|^2."""
-    out = np.empty((lattice.node_count, *spec.sizes))
-    nodes = _node_slices(stf, cone, lattice, spec, dict.fromkeys(range(cone.m), X_CHOICE))
-    for row, values in enumerate(nodes):
-        out[row] = 2.0**cone.m * np.abs(values) ** 2
+    component choices, per lattice node (a float64 field): one contraction
+    per nonempty sign cell and node (`poisson` module docstring)."""
+    out = np.zeros((lattice.node_count, *spec.sizes))
+    # the float64 output, one contraction and its float64 moduli
+    plan, nodes = _lift_spectra(stf, cone, lattice, spec, None,
+                                (lattice.node_count + 3) * spec.npoints / 2)
+    for row, spectra in enumerate(nodes):
+        for spectrum in spectra:
+            modulus = np.abs(_contract(plan, spectrum))
+            out[row] += np.square(modulus, out=modulus)
+    out *= 2.0**cone.m
     return OperatorField(lattice=lattice, spec=spec, values=out)
 
 
@@ -263,8 +257,10 @@ def hardy_norm(stf: SpectralTestFunction, cone: PolyhedralCone, p: int,
     Returns (norm, t_at_max)."""
     if p not in (1, 2):
         raise BadShape("p must be 1 or 2")
-    norms = [gr.lp_norm(gr.GridFunction(spec, values), p)
-             for values in _node_slices(stf, cone, probe_lattice, spec, {})]
+    # one node's contraction and its float64 moduli
+    plan, nodes = _lift_spectra(stf, cone, probe_lattice, spec, {}, 1.5 * spec.npoints)
+    norms = [gr.lp_norm(gr.GridFunction(spec, _contract(plan, spectrum)), p)
+             for (spectrum,) in nodes]
     best = int(np.argmax(norms))
     return norms[best], probe_lattice.nodes()[best]
 

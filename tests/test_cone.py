@@ -253,6 +253,17 @@ class TestRectContains:
         with pytest.raises(LengthMismatch, match="expected 3 radii"):
             call(cone_b, np.ones(2))
 
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("call", [
+        lambda cone, rows: cg.rect_contains_many(cone, np.ones(3), rows),
+        lambda cone, rows: cg.zonotope_axis_intervals(cone, np.ones(3), 0, rows),
+    ], ids=["many", "intervals"])
+    def test_row_width_mismatch(self, cone_b, call, width):
+        # rows of width 3 on the plane used to reach numpy's matmul error
+        message = f"rows must have width n = 2, got shape (4, {width})"
+        with pytest.raises(LengthMismatch, match=re.escape(message)):
+            call(cone_b, np.zeros((4, width)))
+
     @pytest.mark.parametrize("t, beta", [
         ((np.nan, 1.0), 1.0), ((np.inf, 1.0), 1.0), ((0.0, 1.0), 1.0), ((-1.0, 1.0), 1.0),
         ((1.0, 1.0), np.nan), ((1.0, 1.0), np.inf), ((1.0, 1.0), 0.0),

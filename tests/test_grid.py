@@ -29,6 +29,12 @@ class TestSpec:
         with pytest.raises(BadShape):
             gr.GridSpec(n=1, sizes=(100,), box_half=1.0)
 
+    def test_rejects_float_sizes(self):
+        # 16.0 used to reach a bare TypeError from the power-of-two test
+        with pytest.raises(BadShape, match=r"integer powers of two, at least 16, "
+                                           r"got \(16\.0, 16\.0\)"):
+            gr.GridSpec(n=2, sizes=(16.0, 16.0), box_half=1.0)
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("box_half", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_box(self, n, box_half):

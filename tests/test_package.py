@@ -1,7 +1,7 @@
 """Guards on the package as a whole: no empty modules, no exception
-class without a raiser, no public function that only tests call, no
-console script that does not import, and no eager import of scipy or
-numpy.ma."""
+class without a raiser, no public function that only tests call, one
+node loop for the Poisson symbol, no console script that does not
+import, and no eager import of scipy or numpy.ma."""
 
 import ast
 import importlib
@@ -77,6 +77,21 @@ def test_public_functions_have_a_non_test_caller():
         "cone_from_json", "cone_to_json", "write_stf", "read_stf",
         "fourier_forward", "fourier_inverse",
     }
+
+
+def test_poisson_symbol_has_one_node_loop():
+    # the decay and the X/T factor are evaluated only inside
+    # poisson._node_spectra; a second loop over nodes would call them
+    callers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("poisson_decay", "gradient_factor"):
+                        callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("poisson", "_node_spectra")}
 
 
 def test_console_scripts_import():

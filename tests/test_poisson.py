@@ -232,6 +232,15 @@ class TestBuildField:
         with pytest.raises(OutOfMemoryBudget):
             po.build_field(f, cone_b, lat)
 
+    def test_input_unchanged(self, cone_b, gaussian):
+        # the node loop multiplies into the spectrum it is given: a fresh
+        # transform, never the samples
+        before = gaussian.values.copy()
+        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        po.build_field(gaussian, cone_b, lat, selector={0: po.X_CHOICE})
+        po.gradient_magnitude_sq_field(gaussian, cone_b, lat)
+        assert np.array_equal(gaussian.values, before)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_rejected(self, cone_b, bad):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
@@ -379,6 +388,30 @@ class TestFieldIO:
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BadShape, match=rf"manifest.json{' grid' if parents else ''} "
                                            rf"has no key '{last}'"):
+            po.read_field(path)
+
+    @pytest.mark.parametrize("selector, message", [
+        ({"0": "Q", "2": "X"}, "unknown gradient choice 'Q'"),
+        ({"0": "X", "7": "X"}, r"selector key 7 is not a generator index in range\(3\)"),
+        ({"-1": "T"}, r"selector key '-1' is not a generator index in range\(3\)"),
+    ])
+    def test_bad_selector_refused(self, tmp_path, cone_b, selector, message):
+        # {"0": "Q", "7": "X"} used to read back as {0: 'Q', 7: 'X'}, a
+        # selector build_field refuses
+        path = self._written(tmp_path, cone_b)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["selector"] = selector
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadShape, match=message):
+            po.read_field(path)
+
+    def test_float_sizes_refused(self, tmp_path, cone_b):
+        # [32.0, 32.0] used to reach a bare TypeError in GridSpec
+        path = self._written(tmp_path, cone_b)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["grid"]["sizes"] = [32.0, 32.0]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadShape, match="sizes must be integer powers of two"):
             po.read_field(path)
 
     def test_node_grid_mismatch_rejected(self, tmp_path, cone_b):

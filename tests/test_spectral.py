@@ -9,8 +9,8 @@ from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
 from tubeharm import spectral as sp
-from tubeharm.errors import (BadShape, OutOfMemoryBudget, QuadratureRevival,
-                             SupportEscapesDualCone)
+from tubeharm.errors import (BadShape, LengthMismatch, OutOfMemoryBudget,
+                             QuadratureRevival, SupportEscapesDualCone)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +163,16 @@ class TestBoundaryGrid:
             sp.boundary_grid(stf, spec)
         assert caught.value.needed == 600**3
 
+    def test_core_reads_the_poisson_budget(self, bump, monkeypatch):
+        # the default bump's 24 x 24 core; the budget is read at call time
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", 575)
+        with pytest.raises(OutOfMemoryBudget, match="24 x 24 core") as caught:
+            sp.boundary_grid(bump, spec)
+        assert caught.value.needed == 576
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", 576)
+        sp.boundary_grid(bump, spec)
+
     def test_peak_memory_within_four_outputs(self, dual_b):
         # the 168-per-axis bump (K = 14208) on 512^2: the contraction holds
         # one 168 x 512 phase matrix per axis and a 168 x 512 intermediate
@@ -296,6 +306,55 @@ class TestLiftField:
             acc += np.abs(comp.values) ** 2
         assert np.max(np.abs(fld.values - acc)) < 1e-14 * acc.max()
 
+    def test_gradient_magnitude_on_dual_cone_boundary(self, axis_cone, monkeypatch):
+        # nodes on the 9 x 9 lattice of [0, 1]^2: e_mu . xi = 0 on both
+        # edges, so all four sign cells are nonempty.  Measured 0 on this draw
+        rng = np.random.default_rng(5)
+        axis = np.arange(9) / 8
+        nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        stf = sp.SpectralTestFunction(nodes=nodes, weights=np.full(81, 1 / 81),
+                                      psi_vals=rng.normal(size=81) + 1j * rng.normal(size=81))
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        lat = po.TLattice(m=2, t_min=0.3, levels=2)
+        fld = sp.gradient_magnitude_sq_lift(stf, axis_cone, lat, spec)
+        acc = np.zeros(fld.values.shape)
+        for choices in itertools.product("XT", repeat=2):
+            sel = {mu: c for mu, c in enumerate(choices)}
+            acc += np.abs(sp.lift_field(stf, axis_cone, lat, spec, selector=sel).values) ** 2
+        assert np.max(np.abs(fld.values - acc)) < 1e-14 * acc.max()
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", 1)
+        with pytest.raises(OutOfMemoryBudget, match=", 4 spectra:"):
+            sp.gradient_magnitude_sq_lift(stf, axis_cone, lat, spec)
+
+    @pytest.mark.parametrize("call, output", [
+        (sp.lift_field, (8 + 1) * 256),
+        (sp.gradient_magnitude_sq_lift, (8 + 3) * 256 / 2),
+    ], ids=["lift", "gradient"])
+    def test_budget(self, bump, cone_b, monkeypatch, call, output):
+        # the output share plus, per spectral node (K = 312), the spectrum,
+        # one weighted spectrum (one sign cell), the spectrum buffer, and
+        # dots, 3 x 2 decay tables and the decay buffer at half weight
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=8.0)
+        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        needed = output + len(bump.weights) * (1 + 2 + (3 * 3 + 1) / 2)
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", int(needed) - 1)
+        with pytest.raises(OutOfMemoryBudget, match="8 nodes x 312 frequencies") as err:
+            call(bump, cone_b, lat, spec)
+        assert err.value.needed == needed
+        monkeypatch.setattr(po, "DEFAULT_BUDGET", int(needed))
+        call(bump, cone_b, lat, spec)
+
+    def test_spectrum_unchanged(self, bump, cone_b):
+        # the node loop multiplies into w psi, a fresh product, never psi
+        before = bump.psi_vals.copy(), bump.weights.copy()
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=8.0)
+        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        sp.lift_field(bump, cone_b, lat, spec, selector={1: po.T_CHOICE})
+        sp.gradient_magnitude_sq_lift(bump, cone_b, lat, spec)
+        sp.hardy_norm(bump, cone_b, 1, lat, spec)
+        assert np.array_equal(bump.psi_vals, before[0])
+        assert np.array_equal(bump.weights, before[1])
+
     @pytest.mark.parametrize("call", [
         sp.lift_field,
         sp.gradient_magnitude_sq_lift,
@@ -309,6 +368,15 @@ class TestLiftField:
         lat = po.TLattice(m=3, t_min=0.5, levels=1)
         with pytest.raises(SupportEscapesDualCone, match="-2.000e-01"):
             call(stf, cone_b, lat, spec)
+
+    def test_cone_dimension_mismatch(self):
+        # a 3-d spectrum and grid under a planar cone used to reach numpy's
+        # matmul error
+        stf = sp.SpectralTestFunction(nodes=[[1.0, 1.0, 1.0]], weights=[1.0], psi_vals=[1.0])
+        spec = gr.GridSpec(n=3, sizes=(16, 16, 16), box_half=4.0)
+        lat = po.TLattice(m=2, t_min=0.5, levels=1)
+        with pytest.raises(LengthMismatch, match="grid, cone and spectrum dimensions differ"):
+            sp.lift_field(stf, cg.validate_cone(np.eye(2)), lat, spec)
 
     @pytest.mark.parametrize("key", [-1, 3])
     def test_selector_key_refused(self, bump, cone_b, key):
