@@ -18,7 +18,6 @@ their |det| (the pieces of the Cauchy-Szego kernel).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +31,7 @@ from .errors import (
     NotUnit,
     UnsupportedDimension,
 )
-from .util import lookup_keys
+from .util import require_finite
 
 RANK_TOL = 1e-9
 UNIT_TOL = 1e-6
@@ -201,26 +200,6 @@ def validate_cone(generators) -> PolyhedralCone:
     return cone
 
 
-def cone_from_json(path) -> PolyhedralCone:
-    """Load a cone description file {"n", "m", "generators"}."""
-    with open(path) as fh:
-        data = json.load(fh)
-    n, m, gens = lookup_keys(data, ("n", "m", "generators"), path)
-    gens = np.asarray(gens, dtype=float)
-    if gens.shape != (int(m), int(n)):
-        raise BadShape(f"generators shape {gens.shape} does not match n={n}, m={m}")
-    return validate_cone(gens)
-
-
-def cone_to_json(cone: PolyhedralCone, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {"n": cone.n, "m": cone.m, "generators": cone.generators.tolist()},
-            fh,
-            indent=2,
-        )
-
-
 def project(cone: PolyhedralCone, t) -> np.ndarray:
     """Lifting projection: t in R^m maps to sum_mu t_mu e_mu in R^n."""
     t = np.asarray(t, dtype=float)
@@ -347,7 +326,8 @@ def cauchy_szego(cone: PolyhedralCone, z) -> complex | np.ndarray:
     v_j contributes |det V| * prod_j 1 / (-2 pi i z . v_j).  Every point
     must have y . v > RAY_TOL for y = Im z and every dual ray v; otherwise
     BoundaryY names the smallest y . v and, for a batch, the flat index
-    of its point.
+    of its point.  A kernel value that is not finite because z is not
+    raises NonFiniteValues.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0 or z.shape[-1] != cone.n:
@@ -367,6 +347,7 @@ def cauchy_szego(cone: PolyhedralCone, z) -> complex | np.ndarray:
     # batch shape, which a matrix product does not
     phases = -2j * np.pi * (z[..., None, :] * rays).sum(axis=-1)  # (..., k)
     total = (dets / phases[..., simplices].prod(axis=-1)).sum(axis=-1)
+    require_finite(z, total.sum())
     return complex(total) if z.ndim == 1 else total
 
 

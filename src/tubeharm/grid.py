@@ -39,6 +39,8 @@ class GridSpec:
     box_half: float
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise BadShape(f"n must be an integer, got {self.n!r}")
         if len(self.sizes) != self.n:
             raise BadShape("one size per axis required")
         for s in self.sizes:

@@ -38,7 +38,6 @@ from .errors import BadShape, LengthMismatch, OutOfMemoryBudget
 from .util import lookup_keys, require_finite
 
 DEFAULT_RATIO = float(np.sqrt(2.0))
-DEFAULT_LEVELS = 8
 MAX_NODES = 4096
 DEFAULT_BUDGET = 2**27  # complex elements at a node loop's peak
 
@@ -58,12 +57,14 @@ class TLattice:
 
     m: int
     t_min: float
+    levels: int
     ratio: float = DEFAULT_RATIO
-    levels: int = DEFAULT_LEVELS
 
     def __post_init__(self):
-        if self.m < 1 or self.levels < 1:
-            raise BadShape("need m >= 1 and levels >= 1")
+        for name in ("m", "levels"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise BadShape(f"{name} must be an integer >= 1, got {value!r}")
         # written so that NaN fails them
         if not (0 < self.t_min < np.inf and 1 < self.ratio < np.inf):
             raise BadShape(f"need finite t_min > 0 and ratio > 1, got "
@@ -94,7 +95,7 @@ class TLattice:
         return np.prod(list(itertools.product(self.axis_weights, repeat=self.m)), axis=1)
 
 
-def default_lattice(spec: gr.GridSpec, m: int, levels: int = DEFAULT_LEVELS) -> TLattice:
+def default_lattice(spec: gr.GridSpec, m: int, levels: int) -> TLattice:
     """Lattice anchored at t_min = 2h: the kernel must be resolved by at
     least two samples per width."""
     return TLattice(m=m, t_min=2.0 * spec.h, levels=levels)
@@ -224,9 +225,9 @@ def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
 
     `selector` maps generator indices in range(cone.m) to X_CHOICE or
     T_CHOICE; the field is then that mixed derivative."""
-    out = np.empty((lattice.node_count, *f.spec.sizes), dtype=np.complex128)
     nodes = _grid_spectra(f, cone, lattice, selector or {},
                           lattice.node_count * f.spec.npoints)
+    out = np.empty((lattice.node_count, *f.spec.sizes), dtype=np.complex128)
     for row, (spectrum,) in enumerate(nodes):
         np.fft.ifftn(spectrum, out=out[row])
     return OperatorField(lattice=lattice, spec=f.spec, values=out,
@@ -242,9 +243,9 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
     (module docstring)."""
     # the float64 output and the float64 buffer of the squares
     output = (lattice.node_count + 1) * f.spec.npoints / 2
+    nodes = _grid_spectra(f, cone, lattice, None, output)
     out = np.zeros((lattice.node_count, *f.spec.sizes))
     square = np.empty(f.spec.sizes)
-    nodes = _grid_spectra(f, cone, lattice, None, output)
     for row, spectra in enumerate(nodes):
         for spectrum in spectra:
             component = np.fft.ifftn(spectrum, out=spectrum)

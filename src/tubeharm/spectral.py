@@ -31,7 +31,6 @@ spectrum reaches K^n) is refused with `OutOfMemoryBudget`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .cone import DualCone, PolyhedralCone
 from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, QuadratureRevival,
                      SupportEscapesDualCone)
 from .poisson import OperatorField, TLattice
-from .util import lookup_keys
+from .util import require_finite
 
 DEFAULT_NODES_PER_AXIS = 24
 # largest admitted reach * node gap.  For the 24-node bump at radius 0.5
@@ -105,7 +104,9 @@ def make_bump_psi(dual: DualCone, center, radius: float,
     to box_half = REVIVAL_LIMIT * 15.6 = 9.4.
     """
     center = np.asarray(center, dtype=float)
-    n = center.size
+    n = dual.halfspaces.shape[1]
+    if center.shape != (n,):
+        raise LengthMismatch(f"expected a centre in R^{n}, got shape {center.shape}")
     if not (0 < radius < np.inf):  # NaN fails this too
         raise BadShape(f"radius must be finite and positive, got {radius}")
     margins = dual.halfspaces @ center
@@ -131,13 +132,15 @@ def make_bump_psi(dual: DualCone, center, radius: float,
 
 
 def eval_f(stf: SpectralTestFunction, z) -> complex:
-    """F(z) = sum_k w_k psi_k exp(2 pi i z . xi_k), Im z in the closed cone."""
+    """F(z) = sum_k w_k psi_k exp(2 pi i z . xi_k), Im z in the closed cone.
+
+    A sum that is not finite because z is not raises NonFiniteValues."""
     z = np.asarray(z, dtype=complex)
     if z.shape != (stf.n,):
         raise LengthMismatch(f"expected a point in C^{stf.n}")
     _check_revival(stf.nodes, float(np.max(np.abs(z.real))))
     phases = np.exp(2j * np.pi * (stf.nodes @ z))
-    return complex(np.sum(stf.weights * stf.psi_vals * phases))
+    return complex(require_finite(z, np.sum(stf.weights * stf.psi_vals * phases)))
 
 
 def _check_revival(nodes: np.ndarray, reach: float) -> None:
@@ -222,10 +225,10 @@ def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
                selector: dict | None = None) -> OperatorField:
     """Evaluate F(x + i project(t)) (or a mixed derivative of it) at
     every grid point and lattice node by direct spectral summation."""
-    out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
     # the output and one node's contraction
     plan, nodes = _lift_spectra(stf, cone, lattice, spec, selector or {},
                                 (lattice.node_count + 1) * spec.npoints)
+    out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
     for row, (spectrum,) in enumerate(nodes):
         out[row] = _contract(plan, spectrum)
     return OperatorField(lattice=lattice, spec=spec, values=out,
@@ -237,10 +240,10 @@ def gradient_magnitude_sq_lift(stf: SpectralTestFunction, cone: PolyhedralCone,
     """Spectral-exact |grad_1 ... grad_m F|^2 summed over all 2^m
     component choices, per lattice node (a float64 field): one contraction
     per nonempty sign cell and node (`poisson` module docstring)."""
-    out = np.zeros((lattice.node_count, *spec.sizes))
     # the float64 output, one contraction and its float64 moduli
     plan, nodes = _lift_spectra(stf, cone, lattice, spec, None,
                                 (lattice.node_count + 3) * spec.npoints / 2)
+    out = np.zeros((lattice.node_count, *spec.sizes))
     for row, spectra in enumerate(nodes):
         for spectrum in spectra:
             modulus = np.abs(_contract(plan, spectrum))
@@ -263,24 +266,3 @@ def hardy_norm(stf: SpectralTestFunction, cone: PolyhedralCone, p: int,
              for (spectrum,) in nodes]
     best = int(np.argmax(norms))
     return norms[best], probe_lattice.nodes()[best]
-
-
-def write_stf(path, stf: SpectralTestFunction) -> None:
-    data = {
-        "nodes": stf.nodes.tolist(),
-        "weights": stf.weights.tolist(),
-        "psi": [[float(v.real), float(v.imag)] for v in stf.psi_vals],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-
-
-def read_stf(path) -> SpectralTestFunction:
-    with open(path) as fh:
-        data = json.load(fh)
-    nodes, weights, psi = lookup_keys(data, ("nodes", "weights", "psi"), path)
-    return SpectralTestFunction(
-        nodes=np.asarray(nodes, dtype=float),
-        weights=np.asarray(weights, dtype=float),
-        psi_vals=np.array([complex(re, im) for re, im in psi]),
-    )

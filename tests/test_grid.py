@@ -29,6 +29,11 @@ class TestSpec:
         with pytest.raises(BadShape):
             gr.GridSpec(n=1, sizes=(100,), box_half=1.0)
 
+    def test_rejects_float_dimension(self):
+        # 2.0 used to pass and fail later in write_tgf's struct format
+        with pytest.raises(BadShape, match="n must be an integer, got 2.0"):
+            gr.GridSpec(n=2.0, sizes=(16, 16), box_half=1.0)
+
     def test_rejects_float_sizes(self):
         # 16.0 used to reach a bare TypeError from the power-of-two test
         with pytest.raises(BadShape, match=r"integer powers of two, at least 16, "

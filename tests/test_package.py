@@ -1,7 +1,8 @@
 """Guards on the package as a whole: no empty modules, no exception
-class without a raiser, no public function that only tests call, one
-node loop for the Poisson symbol, no console script that does not
-import, and no eager import of scipy or numpy.ma."""
+class without a raiser, no public function that only tests call, an
+exact list of settable values (defaulted parameters and dataclass
+fields), one node loop for the Poisson symbol, no console script that
+does not import, and no eager import of scipy or numpy.ma."""
 
 import ast
 import importlib
@@ -58,9 +59,9 @@ def test_every_error_class_is_raised():
 def test_public_functions_have_a_non_test_caller():
     # a name (or attribute) anywhere in the package or the benchmark other
     # than the def itself counts as a caller.  The functions listed have
-    # none and are kept on purpose: the JSON and STF readers and writers
-    # are file-format API; the centred transforms are the tests' reference
-    # for the node loop, and the benchmark traces them by name (a string)
+    # none and are kept on purpose: the centred transforms are the tests'
+    # reference for the node loop, and the benchmark traces them by name
+    # (a string)
     defined = set()
     referenced = set()
     for path in [*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")]:
@@ -73,9 +74,34 @@ def test_public_functions_have_a_non_test_caller():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    assert defined - referenced == {
-        "cone_from_json", "cone_to_json", "write_stf", "read_stf",
-        "fourier_forward", "fourier_inverse",
+    assert defined - referenced == {"fourier_forward", "fourier_inverse"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_settable_values():
+    # every defaulted function parameter, as "f(name=)", and every
+    # defaulted dataclass field, as "Class.name": a value a caller may
+    # leave out is an option, and a new one is an edit here
+    found = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found |= {f"{node.name}.{item.target.id}" for item in node.body
+                          if isinstance(item, ast.AnnAssign) and item.value is not None}
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found |= {f"{node.name}({a.arg}=)" for a in defaulted}
+    assert found == {
+        "TwistedRectangleQuery.beta", "_radii(positive=)", "TLattice.ratio",
+        "OperatorField.selector", "build_field(selector=)",
+        "make_bump_psi(nodes_per_axis=)", "slice_grid(y=)", "lift_field(selector=)",
     }
 
 

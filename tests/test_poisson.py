@@ -71,6 +71,13 @@ class TestLattice:
         with pytest.raises(BadShape, match=f"got t_min={t_min}, ratio={ratio}"):
             po.TLattice(m=2, t_min=t_min, ratio=ratio, levels=3)
 
+    @pytest.mark.parametrize("name, value", [("m", 3.0), ("levels", 2.0), ("m", 0),
+                                             ("levels", 0)])
+    def test_bad_dimensions_refused(self, name, value):
+        # m = 3.0 used to give node_count 8.0, levels = 2.0 a bare TypeError
+        with pytest.raises(BadShape, match=f"{name} must be an integer >= 1, got {value}"):
+            po.TLattice(t_min=0.5, **({"m": 3, "levels": 2} | {name: value}))
+
     def test_default_anchored_at_2h(self, spec):
         lat = po.default_lattice(spec, m=3, levels=4)
         assert lat.t_min == 2 * spec.h
@@ -232,6 +239,22 @@ class TestBuildField:
         with pytest.raises(OutOfMemoryBudget):
             po.build_field(f, cone_b, lat)
 
+    @pytest.mark.parametrize("call, output, spectra", [
+        (po.build_field, 4096, 1),
+        (po.gradient_magnitude_sq_field, 4097 / 2, 6),
+    ], ids=["field", "gradient"])
+    def test_budget_checked_before_the_output(self, cone_b, call, output, spectra):
+        # 4096 nodes on 1024^2 points: the output alone is 32 or 64 GiB, whose
+        # allocation used to fail with numpy's MemoryError before the check
+        spec = gr.GridSpec(n=2, sizes=(1024, 1024), box_half=8.0)
+        f = gr.GridFunction(spec, np.ones(spec.sizes))
+        lat = po.TLattice(m=3, t_min=0.5, levels=16)
+        with pytest.raises(OutOfMemoryBudget) as err:
+            call(f, cone_b, lat)
+        # per point the spectrum, the weighted spectra, the buffer, and
+        # dots, 3 x 16 decay tables and the decay buffer at half weight
+        assert err.value.needed == spec.npoints * (output + spectra + 2 + (3 * 17 + 1) / 2)
+
     def test_input_unchanged(self, cone_b, gaussian):
         # the node loop multiplies into the spectrum it is given: a fresh
         # transform, never the samples
@@ -366,6 +389,14 @@ class TestFieldIO:
         po.write_field(tmp_path / "field", po.build_field(f, cone_b, lat))
         return tmp_path / "field"
 
+    @staticmethod
+    def _entry(manifest: dict, key: str):
+        """The dict holding the dotted `key` of `manifest`, and its last name."""
+        *parents, last = key.split(".")
+        for name in parents:
+            manifest = manifest[name]
+        return manifest, last
+
     def test_truncated_manifest_rejected(self, tmp_path, cone_b):
         path = self._written(tmp_path, cone_b)
         manifest = json.loads((path / "manifest.json").read_text())
@@ -380,13 +411,10 @@ class TestFieldIO:
         # a manifest without "selector" used to raise a bare KeyError
         path = self._written(tmp_path, cone_b)
         manifest = json.loads((path / "manifest.json").read_text())
-        *parents, last = key.split(".")
-        where = manifest
-        for name in parents:
-            where = where[name]
+        where, last = self._entry(manifest, key)
         del where[last]
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BadShape, match=rf"manifest.json{' grid' if parents else ''} "
+        with pytest.raises(BadShape, match=rf"manifest.json{' grid' if '.' in key else ''} "
                                            rf"has no key '{last}'"):
             po.read_field(path)
 
@@ -401,6 +429,21 @@ class TestFieldIO:
         path = self._written(tmp_path, cone_b)
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["selector"] = selector
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadShape, match=message):
+            po.read_field(path)
+
+    @pytest.mark.parametrize("key, message", [
+        ("m", "m must be an integer >= 1, got 3.0"),
+        ("levels", "levels must be an integer >= 1, got 2.0"),
+        ("grid.n", "n must be an integer, got 2.0"),
+    ])
+    def test_float_dimension_refused(self, tmp_path, cone_b, key, message):
+        # "m": 3.0 used to reach a bare TypeError, "n": 2.0 to be accepted
+        path = self._written(tmp_path, cone_b)
+        manifest = json.loads((path / "manifest.json").read_text())
+        where, last = self._entry(manifest, key)
+        where[last] = float(where[last])
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BadShape, match=message):
             po.read_field(path)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
 from tubeharm import spectral as sp
-from tubeharm.errors import (BadShape, LengthMismatch, OutOfMemoryBudget,
+from tubeharm.errors import (BadShape, LengthMismatch, NonFiniteValues, OutOfMemoryBudget,
                              QuadratureRevival, SupportEscapesDualCone)
 
 
@@ -36,6 +35,11 @@ class TestMakeBump:
     def test_bad_radius_refused(self, dual_b, radius):
         with pytest.raises(BadShape, match=f"radius must be finite and positive, got {radius}"):
             sp.make_bump_psi(dual_b, [1.2, 1.2], radius)
+
+    def test_center_length_refused(self, dual_b):
+        # used to fail in numpy's matmul
+        with pytest.raises(LengthMismatch, match=r"centre in R\^2, got shape \(3,\)"):
+            sp.make_bump_psi(dual_b, [1.2, 1.2, 1.2], 0.3)
 
     def test_nonfinite_center_refused(self, dual_b):
         with pytest.raises(SupportEscapesDualCone, match="min halfspace margin nan"):
@@ -65,6 +69,14 @@ class TestEvalF:
         val = sp.eval_f(bump, np.zeros(2, dtype=complex))
         assert abs(val.imag) < 1e-15
         assert abs(val - bump.integral()) < 1e-15
+
+    # numpy warns of the NaN arithmetic the refusal follows
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("z", [[np.nan, 0.0], [0.0, 1j * np.inf]])
+    def test_nonfinite_point_refused(self, bump, z):
+        # [nan, 0] used to give F = nan
+        with pytest.raises(NonFiniteValues, match="1 of 2 samples"):
+            sp.eval_f(bump, z)
 
     def test_modulus_bound(self, bump, cone_b):
         rng = np.random.default_rng(0)
@@ -344,6 +356,19 @@ class TestLiftField:
         monkeypatch.setattr(po, "DEFAULT_BUDGET", int(needed))
         call(bump, cone_b, lat, spec)
 
+    @pytest.mark.parametrize("call, output", [
+        (sp.lift_field, 4097 * 4096**2),
+        (sp.gradient_magnitude_sq_lift, 4099 * 4096**2 / 2),
+    ], ids=["lift", "gradient"])
+    def test_budget_checked_before_the_output(self, bump, cone_b, call, output):
+        # 4096 nodes on 4096^2 points: the output alone is 0.5 or 1 TiB, whose
+        # allocation used to fail with numpy's MemoryError before the check
+        spec = gr.GridSpec(n=2, sizes=(4096, 4096), box_half=8.0)
+        lat = po.TLattice(m=3, t_min=0.5, levels=16)
+        with pytest.raises(OutOfMemoryBudget) as err:
+            call(bump, cone_b, lat, spec)
+        assert err.value.needed == output + len(bump.weights) * (1 + 2 + (3 * 17 + 1) / 2)
+
     def test_spectrum_unchanged(self, bump, cone_b):
         # the node loop multiplies into w psi, a fresh product, never psi
         before = bump.psi_vals.copy(), bump.weights.copy()
@@ -432,40 +457,20 @@ class TestHardyNorm:
 
 
 class TestIO:
-    def test_round_trip(self, tmp_path, bump):
-        path = tmp_path / "stf.json"
-        sp.write_stf(path, bump)
-        back = sp.read_stf(path)
-        assert np.allclose(back.nodes, bump.nodes)
-        assert np.allclose(back.weights, bump.weights)
-        assert np.allclose(back.psi_vals, bump.psi_vals)
-
+    # the entry checks every SpectralTestFunction passes at construction;
+    # "psi" holds the (re, im) pairs of the psi values
     @pytest.mark.parametrize("key, entry, value, per_node, what", [
         ("weights", (3,), np.nan, 1, "quadrature weights are not finite and positive"),
         ("weights", (3,), -1.0, 1, "quadrature weights are not finite and positive"),
         ("nodes", (5, 1), np.inf, 2, "node coordinates are not finite"),
         ("psi", (7, 0), np.nan, 1, "psi values are not finite"),
     ])
-    def test_nonfinite_entry_refused(self, tmp_path, bump, key, entry, value, per_node,
-                                     what):
-        # a NaN weight used to load, with mass() = nan
-        path = tmp_path / "stf.json"
-        sp.write_stf(path, bump)
-        data = json.loads(path.read_text())
-        row = data[key]
-        for i in entry[:-1]:
-            row = row[i]
-        row[entry[-1]] = value
-        path.write_text(json.dumps(data))
+    def test_nonfinite_entry_refused(self, bump, key, entry, value, per_node, what):
+        # a NaN weight used to be accepted, with mass() = nan
+        data = {"nodes": bump.nodes.copy(), "weights": bump.weights.copy(),
+                "psi": np.column_stack([bump.psi_vals.real, bump.psi_vals.imag])}
+        data[key][entry] = value
         size = per_node * len(bump.weights)
         with pytest.raises(BadShape, match=f"1 of {size} {what}"):
-            sp.read_stf(path)
-
-    def test_missing_key_refused(self, tmp_path, bump):
-        path = tmp_path / "stf.json"
-        sp.write_stf(path, bump)
-        data = json.loads(path.read_text())
-        del data["weights"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(BadShape, match="stf.json has no key 'weights'"):
-            sp.read_stf(path)
+            sp.SpectralTestFunction(nodes=data["nodes"], weights=data["weights"],
+                                    psi_vals=data["psi"] @ [1.0, 1j])
