@@ -12,7 +12,9 @@ them alone is derived once, on first use, and kept on the cone as a
 read-only cached property: the n-subsets of generators with their |det|,
 the zonotope facet normals, the support matrix
 |nu . e_mu|, the dual cone, and the simplicial cones tiling the dual with
-their |det| (the pieces of the Cauchy-Szego kernel).
+their |det| (the pieces of the Cauchy-Szego kernel).  The tiling is a
+pulling triangulation read off which dual rays lie on which facet
+xi . e_j = 0 of the dual, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -88,14 +90,15 @@ class PolyhedralCone:
         # (n-1)-subsets are full rank by non-degeneracy; the 1-d null
         # space is the last right singular vector
         normals = np.linalg.svd(self.generators[subsets])[2][:, -1]
+        # near[i, j]: v_i is within RAY_TOL of w_j or of -w_j; the first
+        # of each class is kept
+        signed = np.stack([normals[:, None] - normals, normals[:, None] + normals])
+        near = (np.linalg.norm(signed, axis=-1) < RAY_TOL).any(axis=0)
         keep = []
-        for v in normals:
-            if not any(
-                np.linalg.norm(v - w) < RAY_TOL or np.linalg.norm(v + w) < RAY_TOL
-                for w in keep
-            ):
-                keep.append(v)
-        return _frozen(np.asarray(keep))
+        for i, row in enumerate(near):
+            if not row[keep].any():
+                keep.append(i)
+        return _frozen(normals[keep])
 
     @cached_property
     def support_matrix(self) -> np.ndarray:
@@ -126,15 +129,15 @@ class PolyhedralCone:
         """Simplicial cones tiling the dual, as (s, n) indices into
         dual.rays, and their |det V| (s,).
 
-        Delaunay may return flat simplices on cocircular points; a piece is
-        dropped when its |det V| is at most RANK_TOL times the largest, so
-        a simplicial dual keeps its one piece however thin it is.
+        The pulling triangulation of _pulled_simplices: a simplicial dual
+        is its own piece, rays (0, ..., n-1).  A piece is dropped when its
+        |det V| is at most RANK_TOL times the largest, so a simplicial dual
+        keeps its one piece however thin it is.
         """
         rays = self.dual.rays
         if np.linalg.matrix_rank(rays) < self.n:
             raise UnsupportedDimension("dual cone is not full-dimensional")
-        # the sum of the generators lies in the open cone
-        simplices = _fan_simplices(rays, self.generators.sum(axis=0))
+        simplices = np.array(_pulled_simplices(rays, self.generators))
         dets = np.abs(np.linalg.det(rays[simplices]))
         keep = dets > RANK_TOL * dets.max()
         return _frozen(simplices[keep]), _frozen(dets[keep])
@@ -351,20 +354,26 @@ def cauchy_szego(cone: PolyhedralCone, z) -> complex | np.ndarray:
     return complex(total) if z.ndim == 1 else total
 
 
-def _fan_simplices(rays: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Simplicial cones tiling the cone over `rays`, as rows of ray
-    indices; `axis` must have a positive product with every ray.
+def _pulled_simplices(rays: np.ndarray, halfspaces: np.ndarray) -> list[tuple]:
+    """Pulling triangulation of the cone over `rays`, the extreme rays of
+    {xi : xi . e_j >= 0 for every row e_j of `halfspaces`}, as tuples of
+    ray indices (De Loera, Rambau & Santos, Triangulations, 2010, 4.3).
 
-    A simplicial cone tiles itself.  Otherwise the rays are scaled onto
-    the cross-section {xi : xi . axis = 1}, whose points are
-    Delaunay-triangulated in an orthonormal basis of that hyperplane (a
-    full-dimensional planar dual has two rays, so this needs n >= 3).
+    A face is a sorted tuple of ray indices; one with as many rays as its
+    dimension is its own simplex.  Otherwise its first ray is joined to
+    the pieces of each facet that misses it.  The facets of a face are its
+    intersections with the planes xi . e_j = 0 whose rays have rank one
+    less; a shared facet is split the same way from both sides.
     """
-    k, n = rays.shape
-    if k == n:
-        return np.arange(k)[None, :]
-    from scipy.spatial import Delaunay  # 0.5 s to import; only cones with k > n pay
+    on_plane = np.abs(rays @ halfspaces.T) <= RAY_TOL  # (k, m) incidence
 
-    pts = rays / (rays @ axis)[:, None]
-    plane = np.linalg.svd(axis[None, :])[2][1:]  # rows span the complement of axis
-    return Delaunay(pts @ plane.T).simplices
+    def pull(face: tuple, dim: int) -> list[tuple]:
+        if len(face) == dim:
+            return [face]
+        sides = {tuple(r for r in face if plane[r]) for plane in on_plane.T}
+        return [(face[0], *piece) for side in sorted(sides)
+                if face[0] not in side and len(side) >= dim - 1
+                and np.linalg.matrix_rank(rays[list(side)], tol=RANK_TOL) == dim - 1
+                for piece in pull(side, dim - 1)]
+
+    return pull(tuple(range(len(rays))), rays.shape[1])

@@ -23,6 +23,7 @@ only, values on the reciprocal lattice; a TGF2 file stores one.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -41,12 +42,18 @@ class GridSpec:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)):
             raise BadShape(f"n must be an integer, got {self.n!r}")
+        if not isinstance(self.sizes, (tuple, list)):
+            raise BadShape(f"sizes must be a sequence, got {self.sizes!r}")
+        # a list, as read from JSON, is kept as a tuple
+        object.__setattr__(self, "sizes", tuple(self.sizes))
         if len(self.sizes) != self.n:
             raise BadShape("one size per axis required")
         for s in self.sizes:
             if not isinstance(s, (int, np.integer)) or s < 16 or (s & (s - 1)) != 0:
                 raise BadShape(f"sizes must be integer powers of two, at least 16, "
                                f"got {self.sizes}")
+        if not isinstance(self.box_half, numbers.Real):
+            raise BadShape(f"box_half must be a real number, got {self.box_half!r}")
         if not (0 < self.box_half < np.inf):  # NaN fails this too
             raise BadShape(f"box_half must be finite and positive, got {self.box_half}")
         # isotropic grid: every axis shares one spacing
@@ -151,7 +158,7 @@ def read_tgf(path) -> GridFunction:
         (n,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
         fmt = f"<{n}Id"
         *sizes, box_half = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "header"))
-        spec = GridSpec(n=n, sizes=tuple(sizes), box_half=box_half)
+        spec = GridSpec(n=n, sizes=sizes, box_half=box_half)
         data = _read_exact(fh, 16 * spec.npoints, "payload")
         if extra := len(fh.read()):
             raise BadShape(f"{extra} trailing bytes after the payload")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -65,6 +66,10 @@ class TLattice:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise BadShape(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("t_min", "ratio"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise BadShape(f"{name} must be a real number, got {value!r}")
         # written so that NaN fails them
         if not (0 < self.t_min < np.inf and 1 < self.ratio < np.inf):
             raise BadShape(f"need finite t_min > 0 and ratio > 1, got "
@@ -294,7 +299,7 @@ def read_field(dirpath) -> OperatorField:
         manifest, ("m", "t_min", "ratio", "levels", "selector", "grid", "nodes"), path)
     lattice = TLattice(m=m, t_min=t_min, ratio=ratio, levels=levels)
     n, sizes, box_half = lookup_keys(grid, ("n", "sizes", "box_half"), f"{path} grid")
-    spec = gr.GridSpec(n=n, sizes=tuple(sizes), box_half=box_half)
+    spec = gr.GridSpec(n=n, sizes=sizes, box_half=box_half)
     names = [field_node_name(idx) for idx in lattice.indices()]
     if nodes != names:
         pairs = enumerate(itertools.zip_longest(names, nodes))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,15 @@ def parallelohedron_contains(cone, subset, x, r, xp) -> bool:
                           np.asarray(xp, dtype=float) - np.asarray(x, dtype=float))
     bounds = np.asarray(r, dtype=float)[list(subset)]
     return bool(np.all(np.abs(lam) <= bounds + cone_mod.MEMBER_MARGIN + 1e-10 * bounds))
+
+
+def qhull_kernel(rays, y) -> float:
+    """C(i y) without triangulating the dual: the Laplace transform of a
+    convex cone, the integral of exp(-2 pi y . xi) over the dual, is
+    n! vol{xi in dual : y . xi <= 1} / (2 pi)^n, and Qhull measures that
+    polytope from the extreme rays."""
+    from scipy.spatial import ConvexHull
+
+    n = rays.shape[1]
+    polytope = np.vstack([np.zeros(n), rays / (rays @ y)[:, None]])
+    return math.factorial(n) * ConvexHull(polytope).volume / (2 * np.pi) ** n

@@ -1,12 +1,11 @@
 import dataclasses
 import itertools
-import math
 import re
 
 import numpy as np
 import pytest
 
-from conftest import largest_subset, parallelohedron_contains
+from conftest import largest_subset, parallelohedron_contains, qhull_kernel
 from tubeharm import cone as cg
 from tubeharm.errors import (
     BadShape,
@@ -474,19 +473,13 @@ class TestCauchySzego:
 
     @pytest.mark.parametrize("n, m, seed", [(3, 5, 5), (4, 5, 1), (4, 6, 3)])
     def test_non_simplicial_dual_volume_oracle(self, n, m, seed):
-        # Laplace transform of a convex cone: the integral of
-        # exp(-2 pi y . xi) over the dual is n! vol{xi in dual : y . xi <= 1}
-        # / (2 pi)^n; Qhull measures that polytope without triangulating
-        # the dual
-        from scipy.spatial import ConvexHull
-
+        # test_cone_properties runs the same oracle on drawn cones
         cone, rng = draw_cone(seed, n, m)
         rays = cg.dual_rays(cone).rays
         assert rays.shape[0] > n
         for t in rng.uniform(0.2, 1.0, size=(8, m)):
             y = cg.project(cone, t)
-            polytope = np.vstack([np.zeros(n), rays / (rays @ y)[:, None]])
-            want = math.factorial(n) * ConvexHull(polytope).volume / (2 * np.pi) ** n
+            want = qhull_kernel(rays, y)
             got = cg.cauchy_szego(cone, 1j * y)
             assert abs(got - want) <= 1e-12 * want
 
@@ -519,8 +512,8 @@ class TestCauchySzego:
 
     def test_fan_built_once_per_cone(self, monkeypatch):
         calls = []
-        fan = cg._fan_simplices
-        monkeypatch.setattr(cg, "_fan_simplices", lambda *a: calls.append(1) or fan(*a))
+        fan = cg._pulled_simplices
+        monkeypatch.setattr(cg, "_pulled_simplices", lambda *a: calls.append(1) or fan(*a))
         cone, rng = draw_cone(3, 4, 6)
         z = rng.uniform(-1.0, 1.0, size=(5, 4)) + 1j * cg.project(cone, np.ones(6))
         for _ in range(3):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import largest_subset, parallelohedron_contains
+from conftest import largest_subset, parallelohedron_contains, qhull_kernel
 from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
@@ -19,10 +19,10 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def cones(draw, max_n=4):
-    """2 <= n <= max_n, n <= m <= n + 2 unit generators at 0.2 to 1 rad
-    from an axis: a pointed cone, whose dual is full-dimensional."""
-    n = draw(st.integers(2, max_n))
+def cones(draw, min_n=2, max_n=4):
+    """min_n <= n <= max_n, n <= m <= n + 2 unit generators at 0.2 to 1
+    rad from an axis: a pointed cone, whose dual is full-dimensional."""
+    n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(n, n + 2))
     unit = st.floats(-1.0, 1.0)
     axis = draw(arrays(float, n, elements=unit))
@@ -48,6 +48,24 @@ def test_cauchy_szego_homogeneous_of_degree_minus_n(cone, data, lam):
     z = x + 1j * cg.project(cone, t)
     scaled, plain = cg.cauchy_szego(cone, np.stack([lam * z, z]))
     assert np.max(np.abs(scaled - lam ** (-cone.n) * plain) / np.abs(plain)) <= 1e-10
+
+
+@PROPERTY
+@given(cone=cones(min_n=3), data=st.data())
+def test_non_simplicial_dual_volume_oracle(cone, data):
+    # the pieces of a dual with more than n rays are full-dimensional
+    # simplicial cones over its rays, and the kernel they sum is the
+    # Qhull volume of the dual's section
+    rays = cone.dual.rays
+    assume(len(rays) > cone.n)
+    simplices, dets = cone.szego_pieces
+    assert simplices.shape[1] == cone.n
+    assert np.all((0 <= simplices) & (simplices < len(rays)))
+    assert np.all(np.abs(np.linalg.det(rays[simplices])) > 0)
+    t = data.draw(arrays(float, (8, cone.m), elements=st.floats(0.2, 1.0)))
+    for y in cg.project(cone, t):
+        want = qhull_kernel(rays, y)
+        assert abs(cg.cauchy_szego(cone, 1j * y) - want) <= 1e-12 * want
 
 
 @PROPERTY

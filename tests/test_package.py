@@ -2,7 +2,7 @@
 class without a raiser, no public function that only tests call, an
 exact list of settable values (defaulted parameters and dataclass
 fields), one node loop for the Poisson symbol, no console script that
-does not import, and no eager import of scipy or numpy.ma."""
+does not import, and no import of scipy or numpy.ma on any path."""
 
 import ast
 import importlib
@@ -138,20 +138,28 @@ def _loaded_after(script: str) -> set:
     return set(out.stdout.split())
 
 
+def _scipy(loaded: set) -> set:
+    return {name for name in loaded if name.partition(".")[0] == "scipy"}
+
+
 def test_planar_kernel_leaves_scipy_spatial_unimported():
-    # scipy.spatial costs about 0.5 s and 38 MiB to import; only cones
-    # whose dual has more than n rays need it
+    # scipy.spatial costs about 0.4 s and 38 MiB to import; the kernel
+    # triangulates the dual from its own ray-facet incidence, on a planar
+    # cone and on cones over a pentagon and a cyclic 3-polytope (points of
+    # the moment curve), whose duals have 5 > 3 and 8 > 4 rays
     script = (
+        "import numpy as np\n"
         "import tubeharm\n"
         "from tubeharm import cone\n"
         "c = cone.validate_cone([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])\n"
         "cone.cauchy_szego(c, [0.1 + 1.0j, -0.2 + 1.0j])\n"
+        "for m, n in [(5, 3), (6, 4)]:\n"
+        "    gens = np.vander(np.linspace(-1.0, 1.0, m), n, increasing=True)\n"
+        "    c = cone.validate_cone(gens / np.linalg.norm(gens, axis=1, keepdims=True))\n"
+        "    assert len(c.dual.rays) > n\n"
+        "    cone.cauchy_szego(c, 1j * gens.sum(axis=0))\n"
     )
-    assert "scipy.spatial" not in _loaded_after(script)
-
-
-def _scipy(loaded: set) -> set:
-    return {name for name in loaded if name.partition(".")[0] == "scipy"}
+    assert _scipy(_loaded_after(script)) == set()
 
 
 def test_poisson_fields_leave_scipy_fft_unimported():
@@ -177,8 +185,7 @@ def test_poisson_fields_leave_scipy_fft_unimported():
 
 
 def test_spectral_fields_leave_scipy_unimported():
-    # the same guard on the direct-summation path, on a planar cone whose
-    # dual has n rays (a larger dual needs scipy.spatial's Delaunay)
+    # the same guard on the direct-summation path
     script = (
         "import tubeharm\n"
         "from tubeharm import cone, grid, poisson, spectral\n"

@@ -448,6 +448,22 @@ class TestFieldIO:
         with pytest.raises(BadShape, match=message):
             po.read_field(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_min", "0.5", "t_min must be a real number, got '0.5'"),
+        ("ratio", None, "ratio must be a real number, got None"),
+        ("grid.sizes", 16, "sizes must be a sequence, got 16"),
+        ("grid.box_half", "8", "box_half must be a real number, got '8'"),
+    ])
+    def test_wrong_type_refused(self, tmp_path, cone_b, key, value, message):
+        # each of these used to reach a bare TypeError
+        path = self._written(tmp_path, cone_b)
+        manifest = json.loads((path / "manifest.json").read_text())
+        where, last = self._entry(manifest, key)
+        where[last] = value
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadShape, match=message):
+            po.read_field(path)
+
     def test_float_sizes_refused(self, tmp_path, cone_b):
         # [32.0, 32.0] used to reach a bare TypeError in GridSpec
         path = self._written(tmp_path, cone_b)
