@@ -23,7 +23,9 @@ only, values on the reciprocal lattice; a TGF2 file stores one.
 
 from __future__ import annotations
 
+import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 
@@ -83,7 +85,7 @@ class GridSpec:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.sizes))
+        return int(math.prod(self.sizes))
 
 
 @dataclass
@@ -132,10 +134,12 @@ _PAYLOAD = "<c16"  # little-endian (re, im) f64 pairs
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise BadShape(f"truncated {what}: expected {size} bytes, got {len(data)}")
-    return data
+    """`size` bytes of `fh`, refused before the read when the file has
+    fewer left: a header may claim a payload of any size."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise BadShape(f"truncated {what}: expected {size} bytes, got {left}")
+    return fh.read(size)
 
 
 def write_tgf(path, f: GridFunction) -> None:

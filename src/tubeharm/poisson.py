@@ -1,4 +1,5 @@
-"""Iterated Poisson fields over a t-lattice.
+"""Iterated Poisson fields over a t-lattice: one node loop, two sources
+and two reducers.
 
 The 1-d Poisson kernel along generator e_mu acts spectrally: its Fourier
 symbol is exp(-2 pi t_mu |e_mu . xi|), which is exact on the reciprocal
@@ -6,12 +7,17 @@ lattice, whereas the kernel itself has no grid-aligned support on
 non-axis lines.  The iterated Poisson integral over t in (R_+)^m
 multiplies the m symbols.  Mixed space/scale gradients are extra
 factors: 2 pi i (e_mu . xi) for the spatial choice and -2 pi |e_mu . xi|
-for the d/dt choice.  `build_field` and `gradient_magnitude_sq_field`
-evaluate them at every node of a `TLattice`; for one scale t, with every
-t_mu = t, pass the one-node lattice `TLattice(m, t_min=t, levels=1)`.
-Both run over all m generators, on an m-parameter lattice, on the one
-node loop `_node_spectra`, which also serves `spectral` on the nodes of a
-test function and refuses a peak past DEFAULT_BUDGET complex elements.
+for the d/dt choice.
+
+The node loop `_node_spectra` alone evaluates these symbols, on a
+source's frequencies, and yields each lattice node's components in
+space, through the source's step back: `_grid_spectra` gives the FFT
+mesh and an in-place inverse FFT, `spectral._lift_spectra` a test
+function's spectrum and a direct sum.  Two reducers consume either
+source node by node: `_materialize` stacks the components into a complex
+field, `_magnitude_sq` sums their squares.  The loop refuses a peak past
+DEFAULT_BUDGET complex elements.  For one scale t, with every t_mu = t,
+pass the one-node lattice `TLattice(m, t_min=t, levels=1)`.
 
 Sign cells: where e_mu . xi != 0 the T factor is the X factor times
 i sgn(e_mu . xi), and where it is 0 both vanish.  With v_sigma the all-X
@@ -177,17 +183,20 @@ def _check_budget(frequencies: int, lattice: TLattice, spectra: int, output: flo
                                 f"{frequencies} frequencies, {spectra} spectra")
 
 
-def _node_spectra(dots, coeffs: np.ndarray, lattice: TLattice, selector, output: float):
+def _node_spectra(dots, coeffs: np.ndarray, lattice: TLattice, selector, output: float,
+                  to_space):
     """Check the lattice against the generators and the budget (`output`
     is the caller's share), then return an iterator over the lattice
-    nodes in row order that yields each node's spectra lazily: `coeffs`
-    times the decay over all m generators and `selector`'s factor, or for
-    `selector` None the all-X factor cut by sign cell.
+    nodes in row order that yields each node's components in space
+    lazily: `to_space` of `coeffs` times the decay over all m generators
+    and `selector`'s factor, or for `selector` None the all-X factor cut
+    by sign cell.
 
     `dots[mu]` holds e_mu . xi and `coeffs` the spectrum, of one shape,
     over any set of frequencies xi.  The factor is multiplied into
     `coeffs`, so pass a fresh array.  Per node a product of m decay
-    tables; all spectra share one buffer, each consumed before the next."""
+    tables; all spectra share one buffer, which `to_space` may overwrite,
+    so consume each component before the next."""
     if lattice.m != len(dots):
         raise LengthMismatch("lattice parameter count != generator count")
     masks = [None]
@@ -208,35 +217,55 @@ def _node_spectra(dots, coeffs: np.ndarray, lattice: TLattice, selector, output:
             decay[...] = tables[0][idx[0]]
             for table, k in zip(tables[1:], idx[1:]):
                 decay *= table[k]
-            yield (np.multiply(w, decay, out=spectrum) for w in weighted)
+            yield (to_space(np.multiply(w, decay, out=spectrum)) for w in weighted)
     return nodes()
 
 
 def _grid_spectra(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
                   selector, output: float):
     """The node loop on f's transform: spectra are unscaled and in FFT
-    order, so `np.fft.ifftn` of one is the component in space (the shift
-    identity of the `grid` module docstring)."""
+    order, so `np.fft.ifftn` of one, taken in place, is the component in
+    space (the shift identity of the `grid` module docstring)."""
     require_finite(f.values, f.values.sum())
     dots = [np.fft.ifftshift(d) for d in _axis_dots(f.spec, cone)]
-    return _node_spectra(dots, np.fft.fftn(f.values), lattice, selector, output)
+    return _node_spectra(dots, np.fft.fftn(f.values), lattice, selector, output,
+                         lambda s: np.fft.ifftn(s, out=s))
+
+
+def _materialize(lattice: TLattice, spec: gr.GridSpec, selector, source, *args):
+    """Stack the one component per node of `source(*args, selector,
+    output)` into a complex `OperatorField` that keeps `selector`."""
+    nodes = source(*args, selector or {}, lattice.node_count * spec.npoints)
+    out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
+    for row, (component,) in enumerate(nodes):
+        out[row] = component
+    return OperatorField(lattice=lattice, spec=spec, values=out,
+                         selector=dict(selector) if selector else None)
+
+
+def _magnitude_sq(lattice: TLattice, spec: gr.GridSpec, source, *args):
+    """2^m times the sum of re^2 + im^2 over the sign-cell components per
+    node of `source(*args, None, output)`, through one float64 buffer: a
+    float64 `OperatorField` (module docstring)."""
+    nodes = source(*args, None, (lattice.node_count + 1) * spec.npoints / 2)
+    out = np.zeros((lattice.node_count, *spec.sizes))
+    square = np.empty(spec.sizes)
+    for row, components in enumerate(nodes):
+        for component in components:
+            out[row] += np.square(component.real, out=square)
+            out[row] += np.square(component.imag, out=square)
+    out *= 2.0**lattice.m
+    return OperatorField(lattice=lattice, spec=spec, values=out)
 
 
 def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
                 selector: dict | None = None) -> OperatorField:
     """Materialize the (optionally differentiated) Poisson field at
-    every lattice node.  One forward transform; one inverse per node,
-    straight into the node's row.
+    every lattice node.  One forward transform; one inverse per node.
 
     `selector` maps generator indices in range(cone.m) to X_CHOICE or
     T_CHOICE; the field is then that mixed derivative."""
-    nodes = _grid_spectra(f, cone, lattice, selector or {},
-                          lattice.node_count * f.spec.npoints)
-    out = np.empty((lattice.node_count, *f.spec.sizes), dtype=np.complex128)
-    for row, (spectrum,) in enumerate(nodes):
-        np.fft.ifftn(spectrum, out=out[row])
-    return OperatorField(lattice=lattice, spec=f.spec, values=out,
-                         selector=dict(selector) if selector else None)
+    return _materialize(lattice, f.spec, selector, _grid_spectra, f, cone, lattice)
 
 
 def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
@@ -246,18 +275,7 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
     This is the scalar integrand of the area and g functions.  The field
     is real (float64), one transform per nonempty sign cell and node
     (module docstring)."""
-    # the float64 output and the float64 buffer of the squares
-    output = (lattice.node_count + 1) * f.spec.npoints / 2
-    nodes = _grid_spectra(f, cone, lattice, None, output)
-    out = np.zeros((lattice.node_count, *f.spec.sizes))
-    square = np.empty(f.spec.sizes)
-    for row, spectra in enumerate(nodes):
-        for spectrum in spectra:
-            component = np.fft.ifftn(spectrum, out=spectrum)
-            out[row] += np.square(component.real, out=square)
-            out[row] += np.square(component.imag, out=square)
-    out *= 2.0**cone.m
-    return OperatorField(lattice=lattice, spec=f.spec, values=out)
+    return _magnitude_sq(lattice, f.spec, _grid_spectra, f, cone, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +315,10 @@ def read_field(dirpath) -> OperatorField:
         manifest = json.load(fh)
     m, t_min, ratio, levels, selector, grid, nodes = lookup_keys(
         manifest, ("m", "t_min", "ratio", "levels", "selector", "grid", "nodes"), path)
+    if not isinstance(selector, (dict, type(None))):
+        raise BadShape(f"{path} selector must be a JSON object or null, got {selector!r}")
+    if not isinstance(nodes, list):
+        raise BadShape(f"{path} nodes must be a JSON list, got {nodes!r}")
     lattice = TLattice(m=m, t_min=t_min, ratio=ratio, levels=levels)
     n, sizes, box_half = lookup_keys(grid, ("n", "sizes", "box_half"), f"{path} grid")
     spec = gr.GridSpec(n=n, sizes=sizes, box_half=box_half)

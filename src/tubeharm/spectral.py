@@ -4,9 +4,10 @@ A quadrature-discretized smooth bump psi supported inside the dual cone
 defines F(z) = sum_k w_k psi_k exp(2 pi i z . xi_k), a genuine
 holomorphic function on the tube domain: every term is an exponential
 with frequency in the dual cone, so the continuous reproducing identity
-holds exactly for F.  The lifts run the Poisson symbol over the nodes on
-`poisson`'s node loop, under its budget.  Two conditions bound what F is
-good for:
+holds exactly for F.  Its nodes are the second source of `poisson`'s node
+loop, with `_contract` as the step to space: the lifts are the FFT path's
+two reducers over that source, and `hardy_norm` takes the L^p norm of
+each node's component.  Two conditions bound what F is good for:
 
 - F is a finite sum of exponentials, so it stands for the integral of
   psi only inside its revival radius: with Delta the largest gap between
@@ -109,6 +110,8 @@ def make_bump_psi(dual: DualCone, center, radius: float,
         raise LengthMismatch(f"expected a centre in R^{n}, got shape {center.shape}")
     if not (0 < radius < np.inf):  # NaN fails this too
         raise BadShape(f"radius must be finite and positive, got {radius}")
+    if not isinstance(nodes_per_axis, (int, np.integer)) or nodes_per_axis < 1:
+        raise BadShape(f"nodes_per_axis must be an integer >= 1, got {nodes_per_axis!r}")
     margins = dual.halfspaces @ center
     if not np.all(margins >= radius - 1e-12):
         raise SupportEscapesDualCone(
@@ -207,17 +210,22 @@ def boundary_grid(stf: SpectralTestFunction, spec: gr.GridSpec) -> gr.GridFuncti
 
 def _lift_spectra(stf: SpectralTestFunction, cone: PolyhedralCone,
                   lattice: TLattice, spec: gr.GridSpec, selector, output: float):
-    """The plan on the grid and `poisson._node_spectra` over the nodes of
-    `stf`, which must lie in the dual cone, where |e_mu . xi| = e_mu . xi:
-    `_contract` of a spectrum is that derivative of F at x + i project(t)."""
+    """`poisson._node_spectra` over the nodes of `stf`, which must lie in
+    the dual cone, where |e_mu . xi| = e_mu . xi, with `_contract` on the
+    grid as the step to space: a component is that derivative of F at
+    x + i project(t).  The budget counts one contraction besides
+    `output`."""
     if not spec.n == cone.n == stf.n:
         raise LengthMismatch("grid, cone and spectrum dimensions differ")
     dots = cone.generators @ stf.nodes.T  # (m, K): e_mu . xi_k
     if np.any(dots < 0):
         raise SupportEscapesDualCone(f"spectral nodes leave the dual cone "
                                      f"(min e . xi = {dots.min():.3e})")
-    nodes = po._node_spectra(dots, stf.weights * stf.psi_vals, lattice, selector, output)
-    return _phases(spec, stf.nodes), nodes
+    # the plan is bound late, so that the node loop's budget is checked first
+    nodes = po._node_spectra(dots, stf.weights * stf.psi_vals, lattice, selector,
+                             output + spec.npoints, lambda s: _contract(plan, s))
+    plan = _phases(spec, stf.nodes)
+    return nodes
 
 
 def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
@@ -225,14 +233,7 @@ def lift_field(stf: SpectralTestFunction, cone: PolyhedralCone,
                selector: dict | None = None) -> OperatorField:
     """Evaluate F(x + i project(t)) (or a mixed derivative of it) at
     every grid point and lattice node by direct spectral summation."""
-    # the output and one node's contraction
-    plan, nodes = _lift_spectra(stf, cone, lattice, spec, selector or {},
-                                (lattice.node_count + 1) * spec.npoints)
-    out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
-    for row, (spectrum,) in enumerate(nodes):
-        out[row] = _contract(plan, spectrum)
-    return OperatorField(lattice=lattice, spec=spec, values=out,
-                         selector=dict(selector) if selector else None)
+    return po._materialize(lattice, spec, selector, _lift_spectra, stf, cone, lattice, spec)
 
 
 def gradient_magnitude_sq_lift(stf: SpectralTestFunction, cone: PolyhedralCone,
@@ -240,16 +241,7 @@ def gradient_magnitude_sq_lift(stf: SpectralTestFunction, cone: PolyhedralCone,
     """Spectral-exact |grad_1 ... grad_m F|^2 summed over all 2^m
     component choices, per lattice node (a float64 field): one contraction
     per nonempty sign cell and node (`poisson` module docstring)."""
-    # the float64 output, one contraction and its float64 moduli
-    plan, nodes = _lift_spectra(stf, cone, lattice, spec, None,
-                                (lattice.node_count + 3) * spec.npoints / 2)
-    out = np.zeros((lattice.node_count, *spec.sizes))
-    for row, spectra in enumerate(nodes):
-        for spectrum in spectra:
-            modulus = np.abs(_contract(plan, spectrum))
-            out[row] += np.square(modulus, out=modulus)
-    out *= 2.0**cone.m
-    return OperatorField(lattice=lattice, spec=spec, values=out)
+    return po._magnitude_sq(lattice, spec, _lift_spectra, stf, cone, lattice, spec)
 
 
 def hardy_norm(stf: SpectralTestFunction, cone: PolyhedralCone, p: int,
@@ -260,9 +252,8 @@ def hardy_norm(stf: SpectralTestFunction, cone: PolyhedralCone, p: int,
     Returns (norm, t_at_max)."""
     if p not in (1, 2):
         raise BadShape("p must be 1 or 2")
-    # one node's contraction and its float64 moduli
-    plan, nodes = _lift_spectra(stf, cone, probe_lattice, spec, {}, 1.5 * spec.npoints)
-    norms = [gr.lp_norm(gr.GridFunction(spec, _contract(plan, spectrum)), p)
-             for (spectrum,) in nodes]
+    # the float64 moduli of one node's component
+    nodes = _lift_spectra(stf, cone, probe_lattice, spec, {}, spec.npoints / 2)
+    norms = [gr.lp_norm(gr.GridFunction(spec, component), p) for (component,) in nodes]
     best = int(np.argmax(norms))
     return norms[best], probe_lattice.nodes()[best]

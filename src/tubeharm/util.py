@@ -43,7 +43,10 @@ def require_finite(values, total):
 
 def lookup_keys(data: dict, keys, source) -> list:
     """The values of `keys` in `data`, which was read from `source`;
-    BadShape names the first key missing."""
+    BadShape unless `data` is a JSON object, and names the first key
+    missing."""
+    if not isinstance(data, dict):
+        raise BadShape(f"{source} must be a JSON object, got {data!r}")
     missing = [key for key in keys if key not in data]
     if missing:
         raise BadShape(f"{source} has no key {missing[0]!r}")

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,18 @@ class TestIO:
         path.write_bytes(path.read_bytes()[:-5])
         expected = 16 * spec1d.sizes[0]
         message = f"expected {expected} bytes, got {expected - 5}"
+        with pytest.raises(BadShape, match=message):
+            gr.read_tgf(path)
+
+    @pytest.mark.parametrize("sizes", [(2**31, 2**31), (2**16, 2**16), (2**31,) * 3])
+    def test_payload_past_the_file_refused(self, tmp_path, sizes):
+        # a header is refused before its payload is read: (2^31, 2^31) used
+        # to raise OverflowError, (2^16, 2^16) MemoryError, and (2^31,) * 3
+        # wrapped to an empty payload in int64
+        path = tmp_path / "f.tgf"
+        header = struct.pack(f"<I{len(sizes)}Id", len(sizes), *sizes, 8.0)
+        path.write_bytes(b"TGF2" + header + bytes(48))
+        message = f"truncated payload: expected {16 * math.prod(sizes)} bytes, got 48$"
         with pytest.raises(BadShape, match=message):
             gr.read_tgf(path)
 

@@ -1,8 +1,9 @@
 """Guards on the package as a whole: no empty modules, no exception
 class without a raiser, no public function that only tests call, an
 exact list of settable values (defaulted parameters and dataclass
-fields), one node loop for the Poisson symbol, no console script that
-does not import, and no import of scipy or numpy.ma on any path."""
+fields), one node loop for the Poisson symbol, fields built only by its
+sources and reducers, no console script that does not import, and no
+import of scipy or numpy.ma on any path."""
 
 import ast
 import importlib
@@ -118,6 +119,31 @@ def test_poisson_symbol_has_one_node_loop():
                     if name in ("poisson_decay", "gradient_factor"):
                         callers.add((path.stem, getattr(top, "name", None)))
     assert callers == {("poisson", "_node_spectra")}
+
+
+def test_fields_come_from_the_sources_and_the_two_reducers():
+    # the step to space belongs to the sources (the inverse FFT to
+    # _grid_spectra, the contraction to _lift_spectra and to slice_grid's
+    # one sum) and a field is built only by the reducers _materialize and
+    # _magnitude_sq, and by read_field: a public function with a node loop
+    # of its own would call one of these
+    callers = set()
+    for stem in ("poisson", "spectral"):
+        for top in ast.parse((PACKAGE_DIR / f"{stem}.py").read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("OperatorField", "ifftn", "_contract"):
+                        callers.add((name, stem, getattr(top, "name", None)))
+    assert callers == {
+        ("OperatorField", "poisson", "_materialize"),
+        ("OperatorField", "poisson", "_magnitude_sq"),
+        ("OperatorField", "poisson", "read_field"),
+        ("ifftn", "poisson", "_grid_spectra"),
+        ("_contract", "spectral", "_lift_spectra"),
+        ("_contract", "spectral", "slice_grid"),
+    }
 
 
 def test_console_scripts_import():

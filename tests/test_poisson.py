@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -453,15 +454,28 @@ class TestFieldIO:
         ("ratio", None, "ratio must be a real number, got None"),
         ("grid.sizes", 16, "sizes must be a sequence, got 16"),
         ("grid.box_half", "8", "box_half must be a real number, got '8'"),
+        ("grid", [2, 32], r"grid must be a JSON object, got \[2, 32\]"),
+        ("selector", ["X"], r"selector must be a JSON object or null, got \['X'\]"),
+        ("nodes", 8, "nodes must be a JSON list, got 8"),
     ])
     def test_wrong_type_refused(self, tmp_path, cone_b, key, value, message):
-        # each of these used to reach a bare TypeError
+        # each of these used to reach a bare TypeError, and a selector
+        # list an AttributeError
         path = self._written(tmp_path, cone_b)
         manifest = json.loads((path / "manifest.json").read_text())
         where, last = self._entry(manifest, key)
         where[last] = value
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BadShape, match=message):
+            po.read_field(path)
+
+    @pytest.mark.parametrize("manifest", [3, "m t_min ratio levels selector grid nodes"])
+    def test_manifest_not_an_object_refused(self, tmp_path, cone_b, manifest):
+        # these used to reach a bare TypeError in the key lookup
+        path = self._written(tmp_path, cone_b)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadShape, match=rf"manifest.json must be a JSON object, "
+                                           rf"got {re.escape(repr(manifest))}"):
             po.read_field(path)
 
     def test_float_sizes_refused(self, tmp_path, cone_b):

@@ -36,6 +36,13 @@ class TestMakeBump:
         with pytest.raises(BadShape, match=f"radius must be finite and positive, got {radius}"):
             sp.make_bump_psi(dual_b, [1.2, 1.2], radius)
 
+    @pytest.mark.parametrize("count", [0, -3, 2.5, "24"])
+    def test_bad_nodes_per_axis_refused(self, dual_b, count):
+        # 0 used to reach numpy's ValueError and 2.5 its TypeError
+        with pytest.raises(BadShape, match=f"nodes_per_axis must be an integer >= 1, "
+                                           f"got {count!r}"):
+            sp.make_bump_psi(dual_b, [1.2, 1.2], 0.5, nodes_per_axis=count)
+
     def test_center_length_refused(self, dual_b):
         # used to fail in numpy's matmul
         with pytest.raises(LengthMismatch, match=r"centre in R\^2, got shape \(3,\)"):
