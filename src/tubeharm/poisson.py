@@ -31,6 +31,7 @@ for the axes and the diagonal of the plane).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import numbers
@@ -239,8 +240,10 @@ def _materialize(lattice: TLattice, spec: gr.GridSpec, selector, source, *args):
     out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
     for row, (component,) in enumerate(nodes):
         out[row] = component
+    # int keys: a numpy-integer key would not serialise in `write_field`
     return OperatorField(lattice=lattice, spec=spec, values=out,
-                         selector=dict(selector) if selector else None)
+                         selector={int(k): v for k, v in selector.items()} if selector
+                         else None)
 
 
 def _magnitude_sq(lattice: TLattice, spec: gr.GridSpec, source, *args):
@@ -286,13 +289,14 @@ def field_node_name(idx) -> str:
 
 
 def write_field(dirpath, fld: OperatorField) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    names = []
-    for row, idx in enumerate(fld.lattice.indices()):
-        name = field_node_name(idx)
-        gr.write_tgf(os.path.join(dirpath, name), fld.node_function(row))
-        names.append(name)
-    manifest = {
+    """One TGF2 file per node and a `manifest.json` that lists them.
+
+    The manifest is serialised before any file is touched, the old one
+    removed before the first node file and the new one written last: an
+    interrupted write leaves no manifest, never an old one over new
+    nodes."""
+    names = [field_node_name(idx) for idx in fld.lattice.indices()]
+    manifest = json.dumps({
         "m": fld.lattice.m,
         "t_min": fld.lattice.t_min,
         "ratio": fld.lattice.ratio,
@@ -304,15 +308,23 @@ def write_field(dirpath, fld: OperatorField) -> None:
             "box_half": fld.spec.box_half,
         },
         "nodes": names,
-    }
-    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    }, indent=2)
+    os.makedirs(dirpath, exist_ok=True)
+    path = os.path.join(dirpath, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    for row, name in enumerate(names):
+        gr.write_tgf(os.path.join(dirpath, name), fld.node_function(row))
+    gr._replace_file(path, manifest.encode())
 
 
 def read_field(dirpath) -> OperatorField:
     path = os.path.join(dirpath, "manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        raise BadShape(f"{path} is missing: no field, or an interrupted write") from None
     m, t_min, ratio, levels, selector, grid, nodes = lookup_keys(
         manifest, ("m", "t_min", "ratio", "levels", "selector", "grid", "nodes"), path)
     if not isinstance(selector, (dict, type(None))):
@@ -332,7 +344,11 @@ def read_field(dirpath) -> OperatorField:
         )
     values = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
     for row, name in enumerate(names):
-        node = gr.read_tgf(os.path.join(dirpath, name))
+        node_path = os.path.join(dirpath, name)
+        try:
+            node = gr.read_tgf(node_path)
+        except FileNotFoundError:
+            raise BadShape(f"{node_path} is missing: the manifest lists it") from None
         if node.spec != spec:
             raise BadShape(f"{name}: expected the manifest grid {spec}, found {node.spec}")
         values[row] = node.values

@@ -24,10 +24,16 @@ Grid sums are sum-factorized (Orszag 1980): with U_a the distinct node
 coordinates on axis a, the coefficients are scattered onto a core of
 prod_a U_a entries and contracted one axis at a time, which costs
 U_0 U_1 size_0 + U_1 size_0 size_1 complex multiply-adds in 2-d instead of
-K size_0 size_1.  A tensor spectrum such as `make_bump_psi`'s has a core
-no larger than its tensor grid (576 entries for the K = 312 nodes of the
-default 2-d bump); a core past `poisson.DEFAULT_BUDGET` (a scattered
-spectrum reaches K^n) is refused with `OutOfMemoryBudget`.
+K size_0 size_1.  Each axis is one GEMM, in axis order, on the core seen
+as (done, U_a, rest): done is the product of the sizes of the axes
+already contracted, rest that of the U of the axes still to go.  For
+a < n - 1 the transposed phase matrix multiplies each (U_a, rest) slab;
+the last GEMM multiplies the (done, U_{n-1}) core by the last phase
+matrix, straight into the caller's grid buffer.  A tensor spectrum such
+as `make_bump_psi`'s has a core no larger than its tensor grid (576
+entries for the K = 312 nodes of the default 2-d bump); a core past
+`poisson.DEFAULT_BUDGET` (a scattered spectrum reaches K^n) is refused
+with `OutOfMemoryBudget`.
 """
 
 from __future__ import annotations
@@ -160,9 +166,11 @@ def _phases(spec: gr.GridSpec, nodes: np.ndarray) -> tuple:
 
     On each axis a the nodes take U_a distinct coordinates; the plan holds
     one (U_a, size_a) phase matrix exp(2 pi i xi_a x_a) per axis, built over
-    those coordinates, and each node's per-axis index into them.  The grid
-    must lie inside the nodes' revival radius, and the core of prod_a U_a
-    entries that `_contract` fills must fit `poisson.DEFAULT_BUDGET`."""
+    those coordinates, and each node's flat index into the C-order core of
+    prod_a U_a entries (np.add.at on a tuple of per-axis indices ran 7
+    times slower once the process had run a GEMM).  The grid must lie
+    inside the nodes' revival radius, and the core that `_contract` fills
+    must fit `poisson.DEFAULT_BUDGET`."""
     _check_revival(nodes, spec.box_half)
     coords, index = zip(*(np.unique(nodes[:, a], return_inverse=True)
                           for a in range(spec.n)))
@@ -174,21 +182,25 @@ def _phases(spec: gr.GridSpec, nodes: np.ndarray) -> tuple:
         )
     mats = [np.exp(2j * np.pi * np.outer(c, spec.axis_coords(a)))
             for a, c in enumerate(coords)]
-    return mats, index
+    return mats, np.ravel_multi_index(index, tuple(len(c) for c in coords))
 
 
-def _contract(plan: tuple, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k exp(2 pi i x . xi_k) over the whole grid.
+def _contract(plan: tuple, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k exp(2 pi i x . xi_k) over the whole grid, written
+    into `out`, a C-contiguous complex grid array, and returned.
 
     The coefficients are scattered onto the (U_0, ..., U_{n-1}) core of
     the plan, nodes sharing all coordinates adding up, and the core is
     contracted with one phase matrix per axis (module docstring)."""
     mats, index = plan
-    acc = np.zeros(tuple(len(q) for q in mats), dtype=np.complex128)
+    acc = np.zeros(math.prod(len(q) for q in mats), dtype=np.complex128)
     np.add.at(acc, index, coeffs)
-    for q in mats:
-        acc = np.tensordot(acc, q, axes=(0, 0))
-    return acc
+    done = 1
+    for q in mats[:-1]:
+        acc = np.matmul(q.T, acc.reshape(done, len(q), -1))
+        done *= q.shape[1]
+    np.matmul(acc.reshape(done, -1), mats[-1], out=out.reshape(done, -1))
+    return out
 
 
 def slice_grid(stf: SpectralTestFunction, spec: gr.GridSpec,
@@ -200,7 +212,8 @@ def slice_grid(stf: SpectralTestFunction, spec: gr.GridSpec,
     if y is not None:
         y = np.asarray(y, dtype=float)
         coeffs = coeffs * np.exp(-2.0 * np.pi * (stf.nodes @ y))
-    return gr.GridFunction(spec, _contract(_phases(spec, stf.nodes), coeffs))
+    return gr.GridFunction(spec, _contract(_phases(spec, stf.nodes), coeffs,
+                                           np.empty(spec.sizes, dtype=np.complex128)))
 
 
 def boundary_grid(stf: SpectralTestFunction, spec: gr.GridSpec) -> gr.GridFunction:
@@ -214,17 +227,19 @@ def _lift_spectra(stf: SpectralTestFunction, cone: PolyhedralCone,
     the dual cone, where |e_mu . xi| = e_mu . xi, with `_contract` on the
     grid as the step to space: a component is that derivative of F at
     x + i project(t).  The budget counts one contraction besides
-    `output`."""
+    `output`: the grid buffer each component is contracted into."""
     if not spec.n == cone.n == stf.n:
         raise LengthMismatch("grid, cone and spectrum dimensions differ")
     dots = cone.generators @ stf.nodes.T  # (m, K): e_mu . xi_k
     if np.any(dots < 0):
         raise SupportEscapesDualCone(f"spectral nodes leave the dual cone "
                                      f"(min e . xi = {dots.min():.3e})")
-    # the plan is bound late, so that the node loop's budget is checked first
+    # the plan and the grid buffer, which every component shares, are
+    # bound late, so that the node loop's budget is checked first
     nodes = po._node_spectra(dots, stf.weights * stf.psi_vals, lattice, selector,
-                             output + spec.npoints, lambda s: _contract(plan, s))
+                             output + spec.npoints, lambda s: _contract(plan, s, buf))
     plan = _phases(spec, stf.nodes)
+    buf = np.empty(spec.sizes, dtype=np.complex128)
     return nodes
 
 

@@ -263,3 +263,24 @@ class TestIO:
         path.write_bytes(path.read_bytes() + bytes(7))
         with pytest.raises(BadShape, match="7 trailing bytes after the payload"):
             gr.read_tgf(path)
+
+    def test_open_reader_keeps_the_old_file(self, tmp_path, spec1d):
+        # a rewrite used to truncate the file under a reader that had it
+        # open, which then read the new payload
+        path = tmp_path / "f.tgf"
+        gr.write_tgf(path, random_grid(spec1d, 14))
+        old = path.read_bytes()
+        new = random_grid(spec1d, 15)
+        with open(path, "rb") as fh:
+            gr.write_tgf(path, new)
+            assert fh.read() == old
+        assert np.array_equal(gr.read_tgf(path).values, new.values)
+
+    def test_rewrite_with_a_smaller_grid(self, tmp_path, spec1d, spec2d):
+        path = tmp_path / "f.tgf"
+        gr.write_tgf(path, random_grid(spec2d, 16))
+        small = random_grid(spec1d, 17)
+        gr.write_tgf(path, small)
+        gr.write_tgf(tmp_path / "fresh.tgf", small)
+        assert path.read_bytes() == (tmp_path / "fresh.tgf").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.tgf", "fresh.tgf"]

@@ -2,8 +2,9 @@
 class without a raiser, no public function that only tests call, an
 exact list of settable values (defaulted parameters and dataclass
 fields), one node loop for the Poisson symbol, fields built only by its
-sources and reducers, no console script that does not import, and no
-import of scipy or numpy.ma on any path."""
+sources and reducers, files written only by one replace helper, no
+console script that does not import, and no import of scipy or numpy.ma
+on any path."""
 
 import ast
 import importlib
@@ -144,6 +145,22 @@ def test_fields_come_from_the_sources_and_the_two_reducers():
         ("_contract", "spectral", "_lift_spectra"),
         ("_contract", "spectral", "slice_grid"),
     }
+
+
+def test_files_are_written_only_by_the_replace_helper():
+    # a file opened for writing where one exists is truncated and
+    # rewritten in place, which ext4 sends to the device on close (grid
+    # module docstring); grid._replace_file unlinks it first
+    writers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                    modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+                    if any(not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+                           for mode in modes):
+                        writers.add((path.stem, getattr(top, "name", None)))
+    assert writers == {("grid", "_replace_file")}
 
 
 def test_console_scripts_import():

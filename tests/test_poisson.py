@@ -382,6 +382,25 @@ class TestFieldIO:
         assert np.array_equal(back.values, fld.values)
         assert (tmp_path / "field" / "t_01_00_01.tgf").exists()
 
+    def test_numpy_integer_selector_key(self, tmp_path, cone_b):
+        # json.dump used to refuse the np.int64 key after every node file
+        # was written
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
+        f = gr.GridFunction(spec, np.ones(spec.sizes))
+        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        po.write_field(tmp_path / "field",
+                       po.build_field(f, cone_b, lat, selector={np.int64(0): po.X_CHOICE}))
+        assert po.read_field(tmp_path / "field").selector == {0: po.X_CHOICE}
+
+    def test_manifest_serialised_before_any_file(self, tmp_path):
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        lat = po.TLattice(m=3, t_min=0.5, levels=1)
+        fld = po.OperatorField(lattice=lat, spec=spec, values=np.zeros((1, 16, 16)),
+                               selector={np.int64(0): po.X_CHOICE})
+        with pytest.raises(TypeError, match="keys must be"):
+            po.write_field(tmp_path / "field", fld)
+        assert not (tmp_path / "field").exists()
+
     def _written(self, tmp_path, cone_b):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
         x1, x2 = spec.coords()
@@ -485,6 +504,32 @@ class TestFieldIO:
         manifest["grid"]["sizes"] = [32.0, 32.0]
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BadShape, match="sizes must be integer powers of two"):
+            po.read_field(path)
+
+    @pytest.mark.parametrize("name", ["manifest.json", "t_01_00_01.tgf"])
+    def test_missing_file_refused(self, tmp_path, cone_b, name):
+        # both used to raise FileNotFoundError
+        path = self._written(tmp_path, cone_b)
+        (path / name).unlink()
+        with pytest.raises(BadShape, match=re.escape(f"{path / name} is missing")):
+            po.read_field(path)
+
+    def test_interrupted_rewrite_leaves_no_manifest(self, tmp_path, cone_b, monkeypatch):
+        # the old manifest used to stay over a mix of old and new nodes
+        path = self._written(tmp_path, cone_b)
+        fld = po.read_field(path)
+        written = []
+
+        def write_tgf(node_path, f):
+            if len(written) == 3:
+                raise OSError("interrupted")
+            written.append(node_path)
+
+        monkeypatch.setattr(gr, "write_tgf", write_tgf)
+        with pytest.raises(OSError, match="interrupted"):
+            po.write_field(path, fld)
+        assert not (path / "manifest.json").exists()
+        with pytest.raises(BadShape, match="manifest.json is missing"):
             po.read_field(path)
 
     def test_node_grid_mismatch_rejected(self, tmp_path, cone_b):

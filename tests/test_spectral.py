@@ -167,6 +167,22 @@ class TestBoundaryGrid:
             z = np.array([xs[i], xs[j]], dtype=complex)
             assert abs(fb.values[i, j] - sp.eval_f(stf, z)) < 1e-14 * stf.mass()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_contract_matches_direct_sum(self, n):
+        # every grid point against sum_k c_k exp(2 pi i x . xi_k), with two
+        # of the 40 scattered nodes at one point
+        rng = np.random.default_rng(20 + n)
+        nodes = rng.uniform(0.5, 1.5, size=(40, n))
+        nodes[-1] = nodes[0]
+        coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
+        spec = gr.GridSpec(n=n, sizes=(16,) * n, box_half=2.0)
+        out = np.empty(spec.sizes, dtype=np.complex128)
+        got = sp._contract(sp._phases(spec, nodes), coeffs, out)
+        points = np.stack(np.meshgrid(*map(spec.axis_coords, range(n)), indexing="ij"), -1)
+        direct = np.exp(2j * np.pi * points @ nodes.T) @ coeffs
+        assert got is out
+        assert np.max(np.abs(got - direct)) < 1e-14 * np.abs(coeffs).sum()
+
     def test_oversized_core_refused(self, monkeypatch):
         # 600 scattered nodes in 3-d span a 600^3 = 2.2e8 core, past the
         # 2^27 budget: refused before the core is allocated
