@@ -32,8 +32,8 @@ from .errors import (
     LengthMismatch,
     NotUnit,
     UnsupportedDimension,
+    require_finite,
 )
-from .util import require_finite
 
 RANK_TOL = 1e-9
 UNIT_TOL = 1e-6
@@ -206,8 +206,9 @@ def validate_cone(generators) -> PolyhedralCone:
 def project(cone: PolyhedralCone, t) -> np.ndarray:
     """Lifting projection: t in R^m maps to sum_mu t_mu e_mu in R^n."""
     t = np.asarray(t, dtype=float)
-    if t.shape[-1] != cone.m:
-        raise LengthMismatch(f"expected {cone.m} parameters, got {t.shape[-1]}")
+    if t.shape[-1:] != (cone.m,):
+        raise LengthMismatch(f"expected {cone.m} parameters, got "
+                             f"{t.shape[-1] if t.ndim else 'a scalar'}")
     return t @ cone.generators
 
 
@@ -230,14 +231,14 @@ def dual_rays(cone: PolyhedralCone) -> DualCone:
     return cone.dual
 
 
-def _radii(cone: PolyhedralCone, radii, positive: bool = True) -> np.ndarray:
-    """`radii` as floats of shape (m,), else LengthMismatch; with
-    `positive`, also finite and > 0, else BadShape."""
+def _radii(cone: PolyhedralCone, radii) -> np.ndarray:
+    """`radii` as floats of shape (m,), else LengthMismatch, finite and
+    > 0, else BadShape."""
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (cone.m,):
         raise LengthMismatch(f"expected {cone.m} radii, got {radii.shape}")
     # written so that NaN fails it
-    if positive and not (0 < radii.min() and radii.max() < np.inf):
+    if not (0 < radii.min() and radii.max() < np.inf):
         raise BadShape(f"radii must be finite and positive, got {radii}")
     return radii
 
@@ -262,8 +263,9 @@ def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> boo
     """
     b = np.asarray(xp, dtype=float) - query.x
     # the query has checked beta and t: only their count is left
-    radii = _radii(cone, query.beta * query.t, positive=False)
-    bound = _member_bound(cone.support_matrix.dot(radii))
+    if query.t.shape != (cone.m,):
+        raise LengthMismatch(f"expected {cone.m} radii, got {query.t.shape}")
+    bound = _member_bound(cone.support_matrix.dot(query.beta * query.t))
     # .dot and count_nonzero cost a third of @ and all() on arrays this small
     inside = np.abs(cone.facet_normals.dot(b)) <= bound
     return np.count_nonzero(inside) == inside.size

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `require_finite`,
+the one check that raises NonFiniteValues."""
+
+import numpy as np
 
 
 class TubeharmError(Exception):
@@ -46,6 +49,19 @@ class NonFiniteValues(TubeharmError):
     def __init__(self, count: int, size: int):
         self.count = count
         super().__init__(f"{count} of {size} samples are not finite")
+
+
+def require_finite(values, total):
+    """Return `total`, a sum or maximum over `values`; raise
+    NonFiniteValues when it is not finite because some sample is not.
+
+    Clean data pays one scalar test: the samples are counted only once
+    the reduction has failed."""
+    if not np.isfinite(total):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise NonFiniteValues(bad, np.size(values))
+    return total
 
 
 class SupportEscapesDualCone(TubeharmError):

@@ -42,8 +42,7 @@ import numpy as np
 
 from . import grid as gr
 from .cone import PolyhedralCone
-from .errors import BadShape, LengthMismatch, OutOfMemoryBudget
-from .util import lookup_keys, require_finite
+from .errors import BadShape, LengthMismatch, OutOfMemoryBudget, require_finite
 
 DEFAULT_RATIO = float(np.sqrt(2.0))
 MAX_NODES = 4096
@@ -282,14 +281,20 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
 
 
 # ---------------------------------------------------------------------------
-# Field persistence: manifest + one TGF2 file per node
+# Field persistence: a `manifest.json` holding the lattice, the grid and the
+# selector, and one TGF2 file per node, named by `field_node_name` from the
+# node's multi-index.  The node names follow from the lattice, so the
+# manifest does not list them; a `nodes` key written by older versions is
+# ignored.
 
 def field_node_name(idx) -> str:
     return "t_" + "_".join(f"{k:02d}" for k in idx) + ".tgf"
 
 
 def write_field(dirpath, fld: OperatorField) -> None:
-    """One TGF2 file per node and a `manifest.json` that lists them.
+    """One TGF2 file per node and a `manifest.json`; node files of an
+    earlier field in `dirpath` that this lattice does not write are
+    removed, and no other file.
 
     The manifest is serialised before any file is touched, the old one
     removed before the first node file and the new one written last: an
@@ -307,15 +312,34 @@ def write_field(dirpath, fld: OperatorField) -> None:
             "sizes": list(fld.spec.sizes),
             "box_half": fld.spec.box_half,
         },
-        "nodes": names,
     }, indent=2)
-    os.makedirs(dirpath, exist_ok=True)
+    try:
+        # one read of an existing directory names the stale node files
+        found = os.listdir(dirpath)
+    except FileNotFoundError:
+        os.makedirs(dirpath, exist_ok=True)
+        found = []
     path = os.path.join(dirpath, "manifest.json")
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
+    for name in set(found).difference(names):
+        if name.startswith("t_") and name.endswith(".tgf"):
+            os.unlink(os.path.join(dirpath, name))
     for row, name in enumerate(names):
         gr.write_tgf(os.path.join(dirpath, name), fld.node_function(row))
     gr._replace_file(path, manifest.encode())
+
+
+def _lookup_keys(data: dict, keys, source) -> list:
+    """The values of `keys` in `data`, which was read from `source`;
+    BadShape unless `data` is a JSON object, and names the first key
+    missing."""
+    if not isinstance(data, dict):
+        raise BadShape(f"{source} must be a JSON object, got {data!r}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise BadShape(f"{source} has no key {missing[0]!r}")
+    return [data[key] for key in keys]
 
 
 def read_field(dirpath) -> OperatorField:
@@ -325,30 +349,20 @@ def read_field(dirpath) -> OperatorField:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise BadShape(f"{path} is missing: no field, or an interrupted write") from None
-    m, t_min, ratio, levels, selector, grid, nodes = lookup_keys(
-        manifest, ("m", "t_min", "ratio", "levels", "selector", "grid", "nodes"), path)
+    m, t_min, ratio, levels, selector, grid = _lookup_keys(
+        manifest, ("m", "t_min", "ratio", "levels", "selector", "grid"), path)
     if not isinstance(selector, (dict, type(None))):
         raise BadShape(f"{path} selector must be a JSON object or null, got {selector!r}")
-    if not isinstance(nodes, list):
-        raise BadShape(f"{path} nodes must be a JSON list, got {nodes!r}")
     lattice = TLattice(m=m, t_min=t_min, ratio=ratio, levels=levels)
-    n, sizes, box_half = lookup_keys(grid, ("n", "sizes", "box_half"), f"{path} grid")
+    n, sizes, box_half = _lookup_keys(grid, ("n", "sizes", "box_half"), f"{path} grid")
     spec = gr.GridSpec(n=n, sizes=sizes, box_half=box_half)
-    names = [field_node_name(idx) for idx in lattice.indices()]
-    if nodes != names:
-        pairs = enumerate(itertools.zip_longest(names, nodes))
-        row, (want, got) = next(p for p in pairs if p[1][0] != p[1][1])
-        raise BadShape(
-            f"manifest lists {len(nodes)} nodes, the lattice has "
-            f"{len(names)}; row {row}: expected {want!r}, found {got!r}"
-        )
     values = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
-    for row, name in enumerate(names):
+    for row, name in enumerate(map(field_node_name, lattice.indices())):
         node_path = os.path.join(dirpath, name)
         try:
             node = gr.read_tgf(node_path)
         except FileNotFoundError:
-            raise BadShape(f"{node_path} is missing: the manifest lists it") from None
+            raise BadShape(f"{node_path} is missing: the lattice has it") from None
         if node.spec != spec:
             raise BadShape(f"{name}: expected the manifest grid {spec}, found {node.spec}")
         values[row] = node.values

@@ -47,9 +47,8 @@ from . import grid as gr
 from . import poisson as po
 from .cone import DualCone, PolyhedralCone
 from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, QuadratureRevival,
-                     SupportEscapesDualCone)
+                     SupportEscapesDualCone, require_finite)
 from .poisson import OperatorField, TLattice
-from .util import require_finite
 
 DEFAULT_NODES_PER_AXIS = 24
 # largest admitted reach * node gap.  For the 24-node bump at radius 0.5
@@ -205,12 +204,18 @@ def _contract(plan: tuple, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def slice_grid(stf: SpectralTestFunction, spec: gr.GridSpec,
                y=None) -> gr.GridFunction:
-    """Sample F(x + i y) on the grid; y = None gives the boundary value."""
+    """Sample F(x + i y) on the grid; y = None gives the boundary value.
+
+    y must have n entries, else LengthMismatch, all finite, else
+    NonFiniteValues."""
     if spec.n != stf.n:
         raise LengthMismatch("grid and spectrum dimensions differ")
     coeffs = stf.weights * stf.psi_vals
     if y is not None:
         y = np.asarray(y, dtype=float)
+        if y.shape != (stf.n,):
+            raise LengthMismatch(f"expected y in R^{stf.n}, got shape {y.shape}")
+        require_finite(y, y.sum())
         coeffs = coeffs * np.exp(-2.0 * np.pi * (stf.nodes @ y))
     return gr.GridFunction(spec, _contract(_phases(spec, stf.nodes), coeffs,
                                            np.empty(spec.sizes, dtype=np.complex128)))

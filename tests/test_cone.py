@@ -140,6 +140,11 @@ class TestProject:
         with pytest.raises(LengthMismatch):
             cg.project(cone_b, [1.0, 2.0])
 
+    def test_scalar_refused(self, cone_b):
+        # a scalar used to raise a bare IndexError
+        with pytest.raises(LengthMismatch, match="expected 3 parameters, got a scalar"):
+            cg.project(cone_b, 5.0)
+
     def test_linearity(self, cone_b):
         rng = np.random.default_rng(7)
         for _ in range(50):

@@ -135,6 +135,40 @@ class TestNorms:
             gr.lp_norm(f, p)
         assert err.value.count == 3
 
+    @staticmethod
+    def _wide_range(sizes, seed):
+        """Samples whose moduli span about ten decades, on a grid of
+        `sizes` with h = 1."""
+        rng = np.random.default_rng(seed)
+        size = math.prod(sizes)
+        vals = rng.lognormal(sigma=4.0, size=size) * np.exp(2j * np.pi * rng.random(size))
+        spec = gr.GridSpec(n=len(sizes), sizes=sizes, box_half=sizes[0] / 2)
+        return gr.GridFunction(spec, vals.reshape(sizes))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("sizes, other", [((64, 64), (16, 16, 16)),
+                                              ((512, 512), (64, 64, 64))])
+    def test_bit_stable_under_reshaping(self, sizes, other, p):
+        # the sum runs over the samples in C order, so the same samples on
+        # a grid of another shape with the same cell h^n = 1 give the same
+        # bits
+        f = self._wide_range(sizes, 8)
+        g = self._wide_range(other, 8)
+        assert np.array_equal(f.values.ravel(), g.values.ravel())
+        assert gr.lp_norm(f, p) == gr.lp_norm(g, p)
+
+    @pytest.mark.parametrize("sizes", [(64, 64), (512, 512)])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_fsum(self, sizes, p):
+        # numpy's pairwise sum adds leaves of 128 terms in 8 running sums,
+        # so the relative error of a sum of N positive terms is at most
+        # (16 + log2 N) eps; a running sum misses this at 512^2 and p = 2
+        # (about 900 eps on these samples)
+        f = self._wide_range(sizes, 9)
+        want = math.fsum(np.abs(f.values).ravel() ** p) ** (1.0 / p)
+        bound = (16 + math.log2(f.spec.npoints)) * np.finfo(float).eps
+        assert abs(gr.lp_norm(f, p) - want) <= bound * want
+
 
 def directional_fd_stencil(f: gr.GridFunction, v, order: int = 1) -> np.ndarray:
     """Finite-difference oracle for derivatives along v: central

@@ -101,7 +101,7 @@ def test_settable_values():
                     a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
                 found |= {f"{node.name}({a.arg}=)" for a in defaulted}
     assert found == {
-        "TwistedRectangleQuery.beta", "_radii(positive=)", "TLattice.ratio",
+        "TwistedRectangleQuery.beta", "TLattice.ratio",
         "OperatorField.selector", "build_field(selector=)",
         "make_bump_psi(nodes_per_axis=)", "slice_grid(y=)", "lift_field(selector=)",
     }

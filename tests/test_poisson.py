@@ -401,11 +401,11 @@ class TestFieldIO:
             po.write_field(tmp_path / "field", fld)
         assert not (tmp_path / "field").exists()
 
-    def _written(self, tmp_path, cone_b):
+    def _written(self, tmp_path, cone_b, levels=2):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
         x1, x2 = spec.coords()
         f = gr.GridFunction(spec, np.exp(-(x1**2 + x2**2)))
-        lat = po.TLattice(m=3, t_min=0.5, levels=2)
+        lat = po.TLattice(m=3, t_min=0.5, levels=levels)
         po.write_field(tmp_path / "field", po.build_field(f, cone_b, lat))
         return tmp_path / "field"
 
@@ -417,14 +417,23 @@ class TestFieldIO:
             manifest = manifest[name]
         return manifest, last
 
-    def test_truncated_manifest_rejected(self, tmp_path, cone_b):
+    def test_rewrite_with_a_smaller_lattice(self, tmp_path, cone_b):
+        # the 19 node files the 8-node lattice does not write used to stay
+        path = self._written(tmp_path, cone_b, levels=3)
+        (path / "notes.txt").write_text("kept")
+        fld = po.read_field(self._written(tmp_path / "small", cone_b))
+        po.write_field(path, fld)
+        names = {po.field_node_name(idx) for idx in fld.lattice.indices()}
+        assert {p.name for p in path.iterdir()} == names | {"manifest.json", "notes.txt"}
+        assert np.array_equal(po.read_field(path).values, fld.values)
+
+    def test_nodes_list_of_older_manifests_ignored(self, tmp_path, cone_b):
         path = self._written(tmp_path, cone_b)
+        fld = po.read_field(path)
         manifest = json.loads((path / "manifest.json").read_text())
-        manifest["nodes"] = manifest["nodes"][:-1]
+        manifest["nodes"] = [po.field_node_name(idx) for idx in fld.lattice.indices()]
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BadShape, match=r"lists 7 nodes, the lattice has 8; "
-                                           r"row 7: expected 't_01_01_01.tgf', found None"):
-            po.read_field(path)
+        assert np.array_equal(po.read_field(path).values, fld.values)
 
     @pytest.mark.parametrize("key", ["selector", "grid.box_half"])
     def test_missing_key_rejected(self, tmp_path, cone_b, key):
@@ -475,7 +484,6 @@ class TestFieldIO:
         ("grid.box_half", "8", "box_half must be a real number, got '8'"),
         ("grid", [2, 32], r"grid must be a JSON object, got \[2, 32\]"),
         ("selector", ["X"], r"selector must be a JSON object or null, got \['X'\]"),
-        ("nodes", 8, "nodes must be a JSON list, got 8"),
     ])
     def test_wrong_type_refused(self, tmp_path, cone_b, key, value, message):
         # each of these used to reach a bare TypeError, and a selector

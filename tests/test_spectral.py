@@ -133,6 +133,19 @@ class TestBoundaryGrid:
                 z = np.array([xs[i], xs[j]], dtype=complex)
                 assert abs(fb.values[i, j] - sp.eval_f(bump, z)) < 1e-14 * bump.mass()
 
+    def test_slice_y_length_refused(self, bump):
+        # a y of the wrong length used to reach numpy's matmul error
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        with pytest.raises(LengthMismatch, match=r"expected y in R\^2, got shape \(3,\)"):
+            sp.slice_grid(bump, spec, y=[0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("y", [[np.nan, 0.5], [0.5, np.inf]])
+    def test_slice_nonfinite_y_refused(self, bump, y):
+        # a NaN y used to give 256 NaN samples on a 16^2 grid
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        with pytest.raises(NonFiniteValues, match="1 of 2 samples"):
+            sp.slice_grid(bump, spec, y=y)
+
     def test_l1_stable_under_box_doubling(self, dual_b):
         # The L1 norm of F^b converges as the box grows.  Not from box 8:
         # the fixture's psi keeps 2.1% of that mass outside [-8, 8]^2 (the
