@@ -10,9 +10,10 @@ Cauchy-Szego kernel of the tube over the cone.
 The generators of a validated cone are read-only, and what depends on
 them alone is derived once, on first use, and kept on the cone as a
 read-only cached property: the n-subsets of generators with their |det|,
-the zonotope facet normals, the support matrix
+the zonotope facet normals, one per (n-1)-subset, the support matrix
 |nu . e_mu|, the dual cone, and the simplicial cones tiling the dual with
-their |det| (the pieces of the Cauchy-Szego kernel).  The tiling is a
+their |det| (the pieces of the Cauchy-Szego kernel).  The functions
+below read these tables and derive none of them again.  The tiling is a
 pulling triangulation read off which dual rays lie on which facet
 xi . e_j = 0 of the dual, so the module needs numpy alone.
 """
@@ -20,6 +21,7 @@ xi . e_j = 0 of the dual, so the module needs numpy alone.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,28 +79,25 @@ class PolyhedralCone:
 
     @cached_property
     def facet_normals(self) -> np.ndarray:
-        """Unit normals of all zonotope facet directions.
-
-        One normal per (n-1)-subset of generators (orthogonal to the
-        subset), with antipodal and duplicate directions removed.  A point
-        b lies in the zonotope with radii u iff
+        """Unit normals of the zonotope facets, one per (n-1)-subset of
+        generators (orthogonal to the subset), in lexicographic order of
+        the subsets.  A point b lies in the zonotope with radii u iff
         |nu . b| <= sum_mu u_mu |nu . e_mu| for every normal nu.
+
+        No two normals are within RAY_TOL of each other up to sign, so none
+        is a duplicate.  Were nu_S and +-nu_S' that close for subsets
+        S != S', a generator w in S' but not in S would have
+        |w . nu_S| = |w . (nu_S -+ nu_S')| < RAY_TOL, and with unit rows
+        |det(S + w)| <= |w . nu_S| (Hadamard) would be below RANK_TOL =
+        RAY_TOL: an n-subset that validate_cone refuses.
         """
         if self.n == 1:
             return _frozen(np.array([[1.0]]))
         subsets = np.array(list(itertools.combinations(range(self.m), self.n - 1)))
         # (n-1)-subsets are full rank by non-degeneracy; the 1-d null
-        # space is the last right singular vector
-        normals = np.linalg.svd(self.generators[subsets])[2][:, -1]
-        # near[i, j]: v_i is within RAY_TOL of w_j or of -w_j; the first
-        # of each class is kept
-        signed = np.stack([normals[:, None] - normals, normals[:, None] + normals])
-        near = (np.linalg.norm(signed, axis=-1) < RAY_TOL).any(axis=0)
-        keep = []
-        for i, row in enumerate(near):
-            if not row[keep].any():
-                keep.append(i)
-        return _frozen(normals[keep])
+        # space is the last right singular vector.  The copy keeps the
+        # rows C-contiguous: a strided view slows rect_contains' .dot
+        return _frozen(np.linalg.svd(self.generators[subsets])[2][:, -1].copy())
 
     @cached_property
     def support_matrix(self) -> np.ndarray:
@@ -167,6 +166,8 @@ class TwistedRectangleQuery:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.t = np.asarray(self.t, dtype=float)
+        if not isinstance(self.beta, numbers.Real):
+            raise BadShape(f"beta must be a real number, got {self.beta!r}")
         # written so that NaN and infinity fail it
         if not (0 < self.beta < np.inf and np.all((0 < self.t) & (self.t < np.inf))):
             raise BadShape(f"radii and aperture must be finite and positive, got "
@@ -215,12 +216,14 @@ def project(cone: PolyhedralCone, t) -> np.ndarray:
 def compute_constants(cone: PolyhedralCone) -> ConeConstants:
     """Solve e_mu = sum_j A^l_{mu j} e_{l_j} for every n-subset l and
     every mu outside l, and sum the absolute coefficients."""
-    total = 0.0
-    for subset in itertools.combinations(range(cone.m), cone.n):
-        others = [mu for mu in range(cone.m) if mu not in subset]
-        # each column holds A^l_{mu .} for one mu outside l
-        coeffs = np.linalg.solve(cone.generators[list(subset)].T, cone.generators[others].T)
-        total += float(np.sum(np.abs(coeffs)))
+    # others[l]: the m - n generators outside subset l, in order.  As the
+    # right-hand sides of one batched solve they give the bits of a solve
+    # per subset, ill-conditioned bases included
+    outside = (cone.subsets[:, :, None] != np.arange(cone.m)).all(axis=1)
+    others = np.nonzero(outside)[1].reshape(len(outside), cone.m - cone.n)
+    coeffs = np.linalg.solve(cone.generators[cone.subsets].transpose(0, 2, 1),
+                             cone.generators[others].transpose(0, 2, 1))  # (s, n, m - n)
+    total = float(np.abs(coeffs).sum())
     gamma_tilde0 = 1.0 / (1.0 + total)
     return ConeConstants(A_const=total, gamma_tilde0=gamma_tilde0, gamma0=gamma_tilde0**2)
 
@@ -243,16 +246,12 @@ def _radii(cone: PolyhedralCone, radii) -> np.ndarray:
     return radii
 
 
-def zonotope_support(cone: PolyhedralCone, radii) -> np.ndarray:
-    """Support values h(nu) = sum_mu u_mu |nu . e_mu| per facet normal."""
-    return cone.support_matrix.dot(_radii(cone, radii))
-
-
-def _member_bound(support: np.ndarray) -> np.ndarray:
-    """Support values relaxed by the membership margin: the open
-    zonotope is tested as a closed one plus MEMBER_MARGIN + 1e-10 h(nu)
-    (boundary points are measure zero for every quadrature downstream)."""
-    return support * (1.0 + 1e-10) + MEMBER_MARGIN
+def _member_bound(cone: PolyhedralCone, radii: np.ndarray) -> np.ndarray:
+    """Support values h(nu) = sum_mu u_mu |nu . e_mu| per facet normal
+    for radii u, relaxed by the membership margin: the open zonotope is
+    tested as a closed one plus MEMBER_MARGIN + 1e-10 h(nu) (boundary
+    points are measure zero for every quadrature downstream)."""
+    return cone.support_matrix.dot(radii) * (1.0 + 1e-10) + MEMBER_MARGIN
 
 
 def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> bool:
@@ -265,7 +264,7 @@ def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> boo
     # the query has checked beta and t: only their count is left
     if query.t.shape != (cone.m,):
         raise LengthMismatch(f"expected {cone.m} radii, got {query.t.shape}")
-    bound = _member_bound(cone.support_matrix.dot(query.beta * query.t))
+    bound = _member_bound(cone, query.beta * query.t)
     # .dot and count_nonzero cost a third of @ and all() on arrays this small
     inside = np.abs(cone.facet_normals.dot(b)) <= bound
     return np.count_nonzero(inside) == inside.size
@@ -282,7 +281,7 @@ def _rows(cone: PolyhedralCone, rows) -> np.ndarray:
 def rect_contains_many(cone: PolyhedralCone, radii, offsets) -> np.ndarray:
     """Vectorized membership of offset rows in R(0, radii)."""
     offsets = _rows(cone, offsets)
-    bound = _member_bound(zonotope_support(cone, radii))
+    bound = _member_bound(cone, _radii(cone, radii))
     return np.all(np.abs(offsets @ cone.facet_normals.T) <= bound, axis=-1)
 
 
@@ -293,10 +292,11 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
     returns (lo, hi) such that c + s*e_axis lies in R(0, radii) exactly
     for s in [lo, hi]; lo > hi marks an empty row.  `axis` is in range(n).
     """
-    if not isinstance(axis, (int, np.integer)) or not 0 <= axis < cone.n:
+    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
+            or not 0 <= axis < cone.n):
         raise BadShape(f"axis {axis!r} is not a coordinate index in range({cone.n})")
     transverse = _rows(cone, transverse)
-    bound = _member_bound(zonotope_support(cone, radii))
+    bound = _member_bound(cone, _radii(cone, radii))
     lo = np.full(transverse.shape[0], -np.inf)
     hi = np.full(transverse.shape[0], np.inf)
     for nu, b in zip(cone.facet_normals, bound):

@@ -127,7 +127,7 @@ def lp_norm(f: GridFunction, p) -> float:
     the samples alone, not on the grid's shape, and its error is
     O(eps log N) of the sum (Higham, SIAM J. Sci. Comput. 14, 1993)."""
     mag = np.abs(f.values)
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(require_finite(f.values, mag.max()))
     if p not in (1, 2):
         raise BadShape("p must be 1, 2 or inf")

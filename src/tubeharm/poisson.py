@@ -112,17 +112,11 @@ def default_lattice(spec: gr.GridSpec, m: int, levels: int) -> TLattice:
     return TLattice(m=m, t_min=2.0 * spec.h, levels=levels)
 
 
-def _axis_dots(spec: gr.GridSpec, cone: PolyhedralCone) -> list:
-    """Per-generator e_mu . xi over the open frequency mesh."""
-    freqs = spec.freqs()
-    return [sum(g_k * x for g_k, x in zip(g, freqs)) for g in cone.generators]
-
-
 def poisson_decay(dots, t) -> np.ndarray:
     """Poisson symbol prod_mu exp(-2 pi t_mu |e_mu . xi|).
 
     `dots[mu]` holds e_mu . xi over any set of frequencies xi: the
-    reciprocal lattice (`_axis_dots`) or the nodes of a spectrum inside
+    reciprocal lattice (`_grid_spectra`) or the nodes of a spectrum inside
     the dual cone, where |e_mu . xi| = e_mu . xi."""
     return np.exp(-2.0 * np.pi * sum(t_mu * np.abs(d) for t_mu, d in zip(t, dots)))
 
@@ -130,7 +124,7 @@ def poisson_decay(dots, t) -> np.ndarray:
 def _check_selector(selector: dict, m: int) -> None:
     """BadShape unless each key is an int in range(m) and each choice X or T."""
     for key, choice in selector.items():
-        if not isinstance(key, (int, np.integer)) or not 0 <= key < m:
+        if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < m:
             raise BadShape(f"selector key {key!r} is not a generator index in range({m})")
         if choice not in (X_CHOICE, T_CHOICE):
             raise BadShape(f"unknown gradient choice {choice!r}")
@@ -158,7 +152,7 @@ class OperatorField:
     lattice: TLattice
     spec: gr.GridSpec
     values: np.ndarray  # (node_count, *sizes)
-    selector: dict | None = None
+    selector: dict | None
 
     def __post_init__(self):
         expect = (self.lattice.node_count, *self.spec.sizes)
@@ -225,9 +219,14 @@ def _grid_spectra(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
                   selector, output: float):
     """The node loop on f's transform: spectra are unscaled and in FFT
     order, so `np.fft.ifftn` of one, taken in place, is the component in
-    space (the shift identity of the `grid` module docstring)."""
+    space (the shift identity of the `grid` module docstring).  The grid
+    must have the cone's dimension, else LengthMismatch."""
+    if f.spec.n != cone.n:
+        raise LengthMismatch(f"grid dimension {f.spec.n} != cone dimension {cone.n}")
     require_finite(f.values, f.values.sum())
-    dots = [np.fft.ifftshift(d) for d in _axis_dots(f.spec, cone)]
+    # e_mu . xi in FFT order, from the open mesh of shifted 1-d axes
+    freqs = [np.fft.ifftshift(x) for x in f.spec.freqs()]
+    dots = [sum(g_k * x for g_k, x in zip(g, freqs)) for g in cone.generators]
     return _node_spectra(dots, np.fft.fftn(f.values), lattice, selector, output,
                          lambda s: np.fft.ifftn(s, out=s))
 
@@ -257,7 +256,7 @@ def _magnitude_sq(lattice: TLattice, spec: gr.GridSpec, source, *args):
             out[row] += np.square(component.real, out=square)
             out[row] += np.square(component.imag, out=square)
     out *= 2.0**lattice.m
-    return OperatorField(lattice=lattice, spec=spec, values=out)
+    return OperatorField(lattice=lattice, spec=spec, values=out, selector=None)
 
 
 def build_field(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,

@@ -39,6 +39,7 @@ with `OutOfMemoryBudget`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,8 @@ def make_bump_psi(dual: DualCone, center, radius: float,
     n = dual.halfspaces.shape[1]
     if center.shape != (n,):
         raise LengthMismatch(f"expected a centre in R^{n}, got shape {center.shape}")
+    if not isinstance(radius, numbers.Real):
+        raise BadShape(f"radius must be a real number, got {radius!r}")
     if not (0 < radius < np.inf):  # NaN fails this too
         raise BadShape(f"radius must be finite and positive, got {radius}")
     if not isinstance(nodes_per_axis, (int, np.integer)) or nodes_per_axis < 1:
@@ -202,8 +205,7 @@ def _contract(plan: tuple, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def slice_grid(stf: SpectralTestFunction, spec: gr.GridSpec,
-               y=None) -> gr.GridFunction:
+def slice_grid(stf: SpectralTestFunction, spec: gr.GridSpec, y) -> gr.GridFunction:
     """Sample F(x + i y) on the grid; y = None gives the boundary value.
 
     y must have n entries, else LengthMismatch, all finite, else

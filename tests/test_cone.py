@@ -274,22 +274,29 @@ class TestRectContains:
         with pytest.raises(BadShape, match=re.escape(message)):
             cg.TwistedRectangleQuery(np.zeros(2), t, beta)
 
+    @pytest.mark.parametrize("beta", ["1", None])
+    def test_nonnumeric_beta_refused(self, beta):
+        # used to raise a bare TypeError from the comparison
+        with pytest.raises(BadShape, match=re.escape(f"beta must be a real number, "
+                                                     f"got {beta!r}")):
+            cg.TwistedRectangleQuery(np.zeros(2), (1.0, 1.0), beta)
+
     @pytest.mark.parametrize("radii", [[-1.0, 1.0], [0.0, 1.0], [np.nan, 1.0], [1.0, np.inf]])
     @pytest.mark.parametrize("call", [
-        lambda cone, r: cg.zonotope_support(cone, r),
         lambda cone, r: cg.zonotope_volume(cone, r),
         lambda cone, r: cg.rect_contains_many(cone, r, np.zeros((4, 2))),
         lambda cone, r: cg.zonotope_axis_intervals(cone, r, 0, np.zeros((4, 2))),
-    ], ids=["support", "volume", "many", "intervals"])
+    ], ids=["volume", "many", "intervals"])
     def test_bad_radii_refused(self, axis_cone, call, radii):
         # radii (-1, 1) used to give volume -4 and leave the centre outside
         message = f"radii must be finite and positive, got {np.asarray(radii)}"
         with pytest.raises(BadShape, match=re.escape(message)):
             call(axis_cone, radii)
 
-    @pytest.mark.parametrize("axis", [-1, 2])
+    @pytest.mark.parametrize("axis", [-1, 2, True])
     def test_interval_axis_refused(self, cone_b, axis):
-        # -1 used to wrap round to axis 1, and 2 to raise a bare IndexError
+        # -1 used to wrap round to axis 1, 2 to raise a bare IndexError and
+        # True to reach numpy's ValueError
         with pytest.raises(BadShape, match=rf"axis {axis} is not a coordinate index "
                                            rf"in range\(2\)"):
             cg.zonotope_axis_intervals(cone_b, np.ones(3), axis, np.zeros((4, 2)))

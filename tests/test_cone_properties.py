@@ -2,6 +2,7 @@
 sign-cell identity behind the Poisson gradient magnitude."""
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -19,11 +20,12 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def cones(draw, min_n=2, max_n=4):
-    """min_n <= n <= max_n, n <= m <= n + 2 unit generators at 0.2 to 1
-    rad from an axis: a pointed cone, whose dual is full-dimensional."""
+def cones(draw, min_n=2, max_n=4, max_extra=2):
+    """min_n <= n <= max_n, n <= m <= n + max_extra unit generators at 0.2
+    to 1 rad from an axis: a pointed cone, whose dual is
+    full-dimensional."""
     n = draw(st.integers(min_n, max_n))
-    m = draw(st.integers(n, n + 2))
+    m = draw(st.integers(n, n + max_extra))
     unit = st.floats(-1.0, 1.0)
     axis = draw(arrays(float, n, elements=unit))
     perp = draw(arrays(float, (m, n), elements=unit))
@@ -37,6 +39,45 @@ def cones(draw, min_n=2, max_n=4):
         return cg.validate_cone(np.cos(angle) * axis + np.sin(angle) * perp)
     except DegenerateSubset:
         assume(False)
+
+
+def constants_per_subset(cone) -> float:
+    """A_const summed one n-subset at a time, with one solve per subset
+    for the generators outside it: the reference for compute_constants'
+    one batched solve."""
+    total = 0.0
+    for subset in itertools.combinations(range(cone.m), cone.n):
+        others = [mu for mu in range(cone.m) if mu not in subset]
+        coeffs = np.linalg.solve(cone.generators[list(subset)].T, cone.generators[others].T)
+        total += float(np.sum(np.abs(coeffs)))
+    return total
+
+
+@PROPERTY
+@given(cone=cones(max_extra=3), data=st.data(),
+       squash=st.sampled_from([1.0, 1e-3, 1e-5, 1e-8]))
+def test_one_facet_normal_per_subset(cone, data, squash):
+    # the cone squashed toward a random hyperplane by `squash`: if it
+    # still validates, it has one facet normal per (n-1)-subset and no
+    # two within RAY_TOL up to sign (PolyhedralCone.facet_normals), in
+    # C order; and the batched constants match the per-subset loop
+    plane = data.draw(arrays(float, cone.n, elements=st.floats(-1.0, 1.0)))
+    assume(np.linalg.norm(plane) > 0.1)
+    plane /= np.linalg.norm(plane)
+    gens = cone.generators - (1.0 - squash) * np.outer(cone.generators @ plane, plane)
+    try:
+        cone = cg.validate_cone(gens / np.linalg.norm(gens, axis=1, keepdims=True))
+    except DegenerateSubset:
+        assume(False)
+    normals = cone.facet_normals
+    assert normals.shape == (math.comb(cone.m, cone.n - 1), cone.n)
+    assert normals.flags.c_contiguous
+    gaps = np.minimum(np.linalg.norm(normals[:, None] - normals, axis=-1),
+                      np.linalg.norm(normals[:, None] + normals, axis=-1))
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() > cg.RAY_TOL
+    want = constants_per_subset(cone)
+    assert abs(cg.compute_constants(cone).A_const - want) <= 1e-13 * want
 
 
 @PROPERTY

@@ -1,10 +1,10 @@
 """Guards on the package as a whole: no empty modules, no exception
 class without a raiser, no public function that only tests call, an
 exact list of settable values (defaulted parameters and dataclass
-fields), one node loop for the Poisson symbol, fields built only by its
-sources and reducers, files written only by one replace helper, no
-console script that does not import, and no import of scipy or numpy.ma
-on any path."""
+fields), one enumeration of each size of generator subset, one node
+loop for the Poisson symbol, fields built only by its sources and
+reducers, files written only by one replace helper, no console script
+that does not import, and no import of scipy or numpy.ma on any path."""
 
 import ast
 import importlib
@@ -101,9 +101,8 @@ def test_settable_values():
                     a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
                 found |= {f"{node.name}({a.arg}=)" for a in defaulted}
     assert found == {
-        "TwistedRectangleQuery.beta", "TLattice.ratio",
-        "OperatorField.selector", "build_field(selector=)",
-        "make_bump_psi(nodes_per_axis=)", "slice_grid(y=)", "lift_field(selector=)",
+        "TwistedRectangleQuery.beta", "TLattice.ratio", "build_field(selector=)",
+        "make_bump_psi(nodes_per_axis=)", "lift_field(selector=)",
     }
 
 
@@ -120,6 +119,25 @@ def test_poisson_symbol_has_one_node_loop():
                     if name in ("poisson_decay", "gradient_factor"):
                         callers.add((path.stem, getattr(top, "name", None)))
     assert callers == {("poisson", "_node_spectra")}
+
+
+def test_subsets_are_enumerated_only_by_the_cone():
+    # the n-subsets and the (n-1)-subsets of generators are enumerated
+    # once each, by the cached properties of PolyhedralCone; every other
+    # function reads those tables
+    callers = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for item in defs:
+                name = getattr(item, "name", None)
+                qualname = f"{top.name}.{name}" if isinstance(top, ast.ClassDef) else name
+                for node in ast.walk(item):
+                    if isinstance(node, ast.Call) and "combinations" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        callers.add((path.stem, qualname))
+    assert callers == {("cone", "PolyhedralCone.subsets"),
+                       ("cone", "PolyhedralCone.facet_normals")}
 
 
 def test_fields_come_from_the_sources_and_the_two_reducers():

@@ -136,7 +136,7 @@ class TestIterated:
 
     def test_multiplier_bound(self, spec, cone_b):
         lat = po.default_lattice(spec, m=3, levels=4)
-        dots = po._axis_dots(spec, cone_b)
+        dots = [sum(g * x for g, x in zip(gen, spec.freqs())) for gen in cone_b.generators]
         for t in lat.nodes():
             mult = po.poisson_decay(dots, t)
             assert np.all(mult > 0) and np.all(mult <= 1.0)
@@ -146,6 +146,17 @@ class TestIterated:
     def test_length_mismatch(self, cone_b, gaussian):
         with pytest.raises(LengthMismatch):
             po.build_field(gaussian, cone_b, po.TLattice(m=2, t_min=0.1, levels=1))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("build", [po.build_field, po.gradient_magnitude_sq_field],
+                             ids=["field", "magnitude"])
+    def test_grid_dimension_mismatch(self, cone_b, build, n):
+        # the mesh used to be zipped with the generators and cut short: a
+        # 1-d grid gave a (nodes, 16) field and a 3-d one (nodes, 16, 16, 16)
+        spec = gr.GridSpec(n=n, sizes=(16,) * n, box_half=4.0)
+        f = gr.GridFunction(spec, np.ones(spec.sizes))
+        with pytest.raises(LengthMismatch, match=f"grid dimension {n} != cone dimension 2"):
+            build(f, cone_b, po.TLattice(m=3, t_min=0.5, levels=2))
 
 
 class TestMixedGradient:
@@ -347,7 +358,7 @@ class TestGeneratorIndices:
     # cone_b has m = 3: -1 must not wrap round to generator 2, and 3 must
     # not reach a bare IndexError; a dict cannot repeat a key
 
-    @pytest.mark.parametrize("key", [-1, 3])
+    @pytest.mark.parametrize("key", [-1, 3, True])
     def test_selector_key_refused(self, cone_b, gaussian, key):
         lat = po.TLattice(m=3, t_min=0.5, levels=1)
         with pytest.raises(BadShape, match=rf"selector key {key} is not a generator "

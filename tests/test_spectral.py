@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,13 @@ class TestMakeBump:
     @pytest.mark.parametrize("radius", [0.0, -0.3, np.nan, np.inf])
     def test_bad_radius_refused(self, dual_b, radius):
         with pytest.raises(BadShape, match=f"radius must be finite and positive, got {radius}"):
+            sp.make_bump_psi(dual_b, [1.2, 1.2], radius)
+
+    @pytest.mark.parametrize("radius", ["0.4", None])
+    def test_nonnumeric_radius_refused(self, dual_b, radius):
+        # used to raise a bare TypeError from the comparison
+        with pytest.raises(BadShape, match=re.escape(f"radius must be a real number, "
+                                                     f"got {radius!r}")):
             sp.make_bump_psi(dual_b, [1.2, 1.2], radius)
 
     @pytest.mark.parametrize("count", [0, -3, 2.5, "24"])
