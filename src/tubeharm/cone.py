@@ -21,7 +21,6 @@ xi . e_j = 0 of the dual, so the module needs numpy alone.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,10 +30,11 @@ from .errors import (
     BadShape,
     BoundaryY,
     DegenerateSubset,
-    LengthMismatch,
     NotUnit,
     UnsupportedDimension,
+    numeric,
     require_finite,
+    require_real,
 )
 
 RANK_TOL = 1e-9
@@ -155,23 +155,20 @@ class ConeConstants:
     gamma0: float        # gamma_tilde0 ** 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwistedRectangleQuery:
-    """Centered twisted rectangle R(x, beta*t)."""
+    """Centered twisted rectangle R(x, beta*t), frozen, with read-only
+    copies of x and t: its checks still hold in rect_contains."""
 
     x: np.ndarray
     t: np.ndarray
     beta: float = 1.0
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.t = np.asarray(self.t, dtype=float)
-        if not isinstance(self.beta, numbers.Real):
-            raise BadShape(f"beta must be a real number, got {self.beta!r}")
-        # written so that NaN and infinity fail it
-        if not (0 < self.beta < np.inf and np.all((0 < self.t) & (self.t < np.inf))):
-            raise BadShape(f"radii and aperture must be finite and positive, got "
-                           f"t={self.t}, beta={self.beta}")
+        t = _positive("t", numeric("t", self.t, float, None))
+        object.__setattr__(self, "x", _frozen(numeric("x", self.x, float, None).copy()))
+        object.__setattr__(self, "t", _frozen(t.copy()))
+        object.__setattr__(self, "beta", require_real("beta", self.beta, 0))
 
 
 def validate_cone(generators) -> PolyhedralCone:
@@ -182,7 +179,7 @@ def validate_cone(generators) -> PolyhedralCone:
     n-subset must have |det| > RANK_TOL.  The returned generators are a
     read-only copy.
     """
-    gens = np.asarray(generators, dtype=float)
+    gens = numeric("generators", generators, float, None)
     if gens.ndim != 2:
         raise BadShape(f"generators must be a 2-d array, got ndim={gens.ndim}")
     m, n = gens.shape
@@ -206,11 +203,7 @@ def validate_cone(generators) -> PolyhedralCone:
 
 def project(cone: PolyhedralCone, t) -> np.ndarray:
     """Lifting projection: t in R^m maps to sum_mu t_mu e_mu in R^n."""
-    t = np.asarray(t, dtype=float)
-    if t.shape[-1:] != (cone.m,):
-        raise LengthMismatch(f"expected {cone.m} parameters, got "
-                             f"{t.shape[-1] if t.ndim else 'a scalar'}")
-    return t @ cone.generators
+    return numeric("t", t, float, (..., cone.m)) @ cone.generators
 
 
 def compute_constants(cone: PolyhedralCone) -> ConeConstants:
@@ -234,16 +227,16 @@ def dual_rays(cone: PolyhedralCone) -> DualCone:
     return cone.dual
 
 
+def _positive(name: str, values: np.ndarray) -> np.ndarray:
+    """`values` if every entry is finite and > 0, else BadShape."""
+    if not np.all((0 < values) & (values < np.inf)):
+        raise BadShape(f"{name} must be finite and positive, got {values}")
+    return values
+
+
 def _radii(cone: PolyhedralCone, radii) -> np.ndarray:
-    """`radii` as floats of shape (m,), else LengthMismatch, finite and
-    > 0, else BadShape."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.shape != (cone.m,):
-        raise LengthMismatch(f"expected {cone.m} radii, got {radii.shape}")
-    # written so that NaN fails it
-    if not (0 < radii.min() and radii.max() < np.inf):
-        raise BadShape(f"radii must be finite and positive, got {radii}")
-    return radii
+    """`radii` as floats of shape (m,), all finite and > 0."""
+    return _positive("radii", numeric("radii", radii, float, (cone.m,)))
 
 
 def _member_bound(cone: PolyhedralCone, radii: np.ndarray) -> np.ndarray:
@@ -260,27 +253,21 @@ def rect_contains(cone: PolyhedralCone, query: TwistedRectangleQuery, xp) -> boo
     Decided by the exact facet test |nu.(x'-x)| <= h(nu), relaxed as in
     _member_bound.
     """
+    # the query has checked x, t and beta: only their lengths are left,
+    # and numeric names the one that is off
+    if query.t.shape != (cone.m,) or query.x.shape != (cone.n,):
+        numeric("query.t", query.t, float, (cone.m,))
+        numeric("query.x", query.x, float, (cone.n,))
     b = np.asarray(xp, dtype=float) - query.x
-    # the query has checked beta and t: only their count is left
-    if query.t.shape != (cone.m,):
-        raise LengthMismatch(f"expected {cone.m} radii, got {query.t.shape}")
     bound = _member_bound(cone, query.beta * query.t)
     # .dot and count_nonzero cost a third of @ and all() on arrays this small
     inside = np.abs(cone.facet_normals.dot(b)) <= bound
     return np.count_nonzero(inside) == inside.size
 
 
-def _rows(cone: PolyhedralCone, rows) -> np.ndarray:
-    """`rows` as floats whose last axis has length n, else LengthMismatch."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[-1:] != (cone.n,):
-        raise LengthMismatch(f"rows must have width n = {cone.n}, got shape {rows.shape}")
-    return rows
-
-
 def rect_contains_many(cone: PolyhedralCone, radii, offsets) -> np.ndarray:
     """Vectorized membership of offset rows in R(0, radii)."""
-    offsets = _rows(cone, offsets)
+    offsets = numeric("offsets", offsets, float, (..., cone.n))
     bound = _member_bound(cone, _radii(cone, radii))
     return np.all(np.abs(offsets @ cone.facet_normals.T) <= bound, axis=-1)
 
@@ -295,7 +282,7 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
     if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
             or not 0 <= axis < cone.n):
         raise BadShape(f"axis {axis!r} is not a coordinate index in range({cone.n})")
-    transverse = _rows(cone, transverse)
+    transverse = numeric("transverse", transverse, float, (..., cone.n))
     bound = _member_bound(cone, _radii(cone, radii))
     lo = np.full(transverse.shape[0], -np.inf)
     hi = np.full(transverse.shape[0], np.inf)
@@ -334,9 +321,7 @@ def cauchy_szego(cone: PolyhedralCone, z) -> complex | np.ndarray:
     of its point.  A kernel value that is not finite because z is not
     raises NonFiniteValues.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0 or z.shape[-1] != cone.n:
-        raise LengthMismatch(f"expected points in C^{cone.n}, got shape {z.shape}")
+    z = numeric("z", z, complex, (..., cone.n))
     rays = cone.dual.rays
     simplices, dets = cone.szego_pieces
     # strict interiority: positive inner product with every dual ray

@@ -1,5 +1,12 @@
-"""Exception types shared across the package, and `require_finite`,
-the one check that raises NonFiniteValues."""
+"""Exception types shared across the package, and the checks of input.
+
+Every entry point checks its input with `require_int`, `require_real`
+and `numeric`, in one vocabulary: a bool is never a number, NaN fails
+every range check, and a numpy scalar is stored as the int or float the
+check returns.  `require_finite` is the one raiser of NonFiniteValues."""
+
+import numbers
+import reprlib
 
 import numpy as np
 
@@ -62,6 +69,44 @@ def require_finite(values, total):
         if bad:
             raise NonFiniteValues(bad, np.size(values))
     return total
+
+
+def require_int(name, value, low):
+    """`value` as an int: an integer, not a bool, at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise BadShape(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def require_real(name, value, low):
+    """`value` as a float: a real number, not a bool, finite and above
+    `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadShape(f"{name} must be a real number, got {value!r}")
+    if not low < value < np.inf:
+        bound = "positive" if low == 0 else f"> {low}"
+        raise BadShape(f"{name} must be finite and {bound}, got {value}")
+    return float(value)
+
+
+def numeric(name, value, dtype, shape):
+    """`value` as an array of `dtype`, float or complex.  BadShape for a
+    ragged sequence and for bool, string, object or (for a float dtype)
+    complex values; LengthMismatch unless the shape is `shape`, where a
+    leading ... stands for any leading axes and None for any shape."""
+    try:
+        array = np.asarray(value)
+        kind_ok = array.dtype.kind != "b" and np.can_cast(array.dtype, dtype, "same_kind")
+    except ValueError:  # a ragged sequence
+        kind_ok = False
+    if not kind_ok:
+        raise BadShape(f"{name} must be an array of {np.dtype(dtype)}, "
+                       f"got {reprlib.repr(value)}")
+    if not (shape is None or array.shape == shape or shape[:1] == (...,)
+            and array.shape[max(array.ndim + 1 - len(shape), 0):] == shape[1:]):
+        want = str(shape).replace("Ellipsis", "...")
+        raise LengthMismatch(f"{name} must have shape {want}, got {array.shape}")
+    return np.asarray(array, dtype=dtype)
 
 
 class SupportEscapesDualCone(TubeharmError):

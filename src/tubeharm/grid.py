@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, require_finite
+from .errors import BadShape, numeric, require_finite, require_int, require_real
 
 
 @dataclass(frozen=True)
@@ -47,22 +46,17 @@ class GridSpec:
     box_half: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)):
-            raise BadShape(f"n must be an integer, got {self.n!r}")
+        n = require_int("n", self.n, 1)
         if not isinstance(self.sizes, (tuple, list)):
             raise BadShape(f"sizes must be a sequence, got {self.sizes!r}")
-        # a list, as read from JSON, is kept as a tuple
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        if len(self.sizes) != self.n:
-            raise BadShape("one size per axis required")
-        for s in self.sizes:
-            if not isinstance(s, (int, np.integer)) or s < 16 or (s & (s - 1)) != 0:
-                raise BadShape(f"sizes must be integer powers of two, at least 16, "
-                               f"got {self.sizes}")
-        if not isinstance(self.box_half, numbers.Real):
-            raise BadShape(f"box_half must be a real number, got {self.box_half!r}")
-        if not (0 < self.box_half < np.inf):  # NaN fails this too
-            raise BadShape(f"box_half must be finite and positive, got {self.box_half}")
+        sizes = tuple(self.sizes)
+        if len(sizes) != n or not all(isinstance(s, (int, np.integer)) and s >= 16
+                                      and s & (s - 1) == 0 for s in sizes):
+            raise BadShape(f"sizes must be integer powers of two, at least 16, "
+                           f"got {sizes} for n = {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sizes", tuple(map(int, sizes)))  # also from a JSON list
+        object.__setattr__(self, "box_half", require_real("box_half", self.box_half, 0))
         # isotropic grid: every axis shares one spacing
         spacings = {2.0 * self.box_half / s for s in self.sizes}
         if len(spacings) != 1:
@@ -99,11 +93,7 @@ class GridFunction:
     values: np.ndarray  # complex, shape == spec.sizes
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != tuple(self.spec.sizes):
-            raise BadShape(
-                f"values shape {self.values.shape} != sizes {self.spec.sizes}"
-            )
+        self.values = numeric("values", self.values, np.complex128, self.spec.sizes)
 
 
 def fourier_forward(f: GridFunction) -> GridFunction:
@@ -129,8 +119,8 @@ def lp_norm(f: GridFunction, p) -> float:
     mag = np.abs(f.values)
     if p == np.inf:
         return float(require_finite(f.values, mag.max()))
-    if p not in (1, 2):
-        raise BadShape("p must be 1, 2 or inf")
+    if require_real("p", p, 0) not in (1, 2):
+        raise BadShape(f"p must be 1, 2 or inf, got {p!r}")
     cell = f.spec.h ** f.spec.n
     total = np.add.reduce((mag**p).ravel())
     return float(require_finite(f.values, total) * cell) ** (1.0 / p)

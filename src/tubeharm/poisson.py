@@ -34,7 +34,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -42,7 +41,8 @@ import numpy as np
 
 from . import grid as gr
 from .cone import PolyhedralCone
-from .errors import BadShape, LengthMismatch, OutOfMemoryBudget, require_finite
+from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, require_finite, require_int,
+                     require_real)
 
 DEFAULT_RATIO = float(np.sqrt(2.0))
 MAX_NODES = 4096
@@ -68,18 +68,10 @@ class TLattice:
     ratio: float = DEFAULT_RATIO
 
     def __post_init__(self):
-        for name in ("m", "levels"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise BadShape(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("t_min", "ratio"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise BadShape(f"{name} must be a real number, got {value!r}")
-        # written so that NaN fails them
-        if not (0 < self.t_min < np.inf and 1 < self.ratio < np.inf):
-            raise BadShape(f"need finite t_min > 0 and ratio > 1, got "
-                           f"t_min={self.t_min}, ratio={self.ratio}")
+        for name, check, low in (("m", require_int, 1), ("levels", require_int, 1),
+                                 ("t_min", require_real, 0), ("ratio", require_real, 1)):
+            # stored as checked: an int64 levels**m can wrap below the cap
+            object.__setattr__(self, name, check(name, getattr(self, name), low))
         if self.levels**self.m > MAX_NODES:
             raise BadShape(f"{self.levels}^{self.m} nodes exceed the cap {MAX_NODES}")
 
@@ -122,7 +114,9 @@ def poisson_decay(dots, t) -> np.ndarray:
 
 
 def _check_selector(selector: dict, m: int) -> None:
-    """BadShape unless each key is an int in range(m) and each choice X or T."""
+    """BadShape unless `selector` is a dict from ints in range(m) to X or T."""
+    if not isinstance(selector, dict):
+        raise BadShape(f"selector must be a JSON object or null, got {selector!r}")
     for key, choice in selector.items():
         if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= key < m:
             raise BadShape(f"selector key {key!r} is not a generator index in range({m})")
@@ -234,7 +228,7 @@ def _grid_spectra(f: gr.GridFunction, cone: PolyhedralCone, lattice: TLattice,
 def _materialize(lattice: TLattice, spec: gr.GridSpec, selector, source, *args):
     """Stack the one component per node of `source(*args, selector,
     output)` into a complex `OperatorField` that keeps `selector`."""
-    nodes = source(*args, selector or {}, lattice.node_count * spec.npoints)
+    nodes = source(*args, {} if selector is None else selector, lattice.node_count * spec.npoints)
     out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
     for row, (component,) in enumerate(nodes):
         out[row] = component
@@ -345,13 +339,13 @@ def read_field(dirpath) -> OperatorField:
     path = os.path.join(dirpath, "manifest.json")
     try:
         with open(path) as fh:
-            manifest = json.load(fh)
+            # JSON keys are strings: the selector's decimal keys are read as int
+            manifest = json.load(fh, object_pairs_hook=lambda pairs: {
+                int(k) if k.isdecimal() else k: v for k, v in pairs})
     except FileNotFoundError:
         raise BadShape(f"{path} is missing: no field, or an interrupted write") from None
     m, t_min, ratio, levels, selector, grid = _lookup_keys(
         manifest, ("m", "t_min", "ratio", "levels", "selector", "grid"), path)
-    if not isinstance(selector, (dict, type(None))):
-        raise BadShape(f"{path} selector must be a JSON object or null, got {selector!r}")
     lattice = TLattice(m=m, t_min=t_min, ratio=ratio, levels=levels)
     n, sizes, box_half = _lookup_keys(grid, ("n", "sizes", "box_half"), f"{path} grid")
     spec = gr.GridSpec(n=n, sizes=sizes, box_half=box_half)
@@ -366,7 +360,6 @@ def read_field(dirpath) -> OperatorField:
             raise BadShape(f"{name}: expected the manifest grid {spec}, found {node.spec}")
         values[row] = node.values
     if selector is not None:
-        selector = {int(k) if k.isdecimal() else k: v for k, v in selector.items()}
         _check_selector(selector, m)
     return OperatorField(lattice=lattice, spec=spec, values=values,
                          selector=selector)

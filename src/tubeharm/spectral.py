@@ -39,7 +39,6 @@ with `OutOfMemoryBudget`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ from . import grid as gr
 from . import poisson as po
 from .cone import DualCone, PolyhedralCone
 from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, QuadratureRevival,
-                     SupportEscapesDualCone, require_finite)
+                     SupportEscapesDualCone, numeric, require_finite, require_int, require_real)
 from .poisson import OperatorField, TLattice
 
 DEFAULT_NODES_PER_AXIS = 24
@@ -66,12 +65,9 @@ class SpectralTestFunction:
     psi_vals: np.ndarray  # (K,) complex
 
     def __post_init__(self):
-        self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.psi_vals = np.asarray(self.psi_vals, dtype=np.complex128)
-        if not (len(self.weights) == len(self.psi_vals) == self.nodes.shape[0]):
-            raise BadShape("nodes, weights and psi values must align")
-        # written so that NaN fails them
+        self.nodes = np.atleast_2d(numeric("nodes", self.nodes, float, None))
+        self.weights = numeric("weights", self.weights, float, (len(self.nodes),))
+        self.psi_vals = numeric("psi_vals", self.psi_vals, np.complex128, (len(self.nodes),))
         for name, need, ok in (
             ("node coordinates", "finite", np.isfinite(self.nodes)),
             ("quadrature weights", "finite and positive",
@@ -110,16 +106,10 @@ def make_bump_psi(dual: DualCone, center, radius: float,
     default 24 nodes the revival radius is 15.6, and grids are admitted up
     to box_half = REVIVAL_LIMIT * 15.6 = 9.4.
     """
-    center = np.asarray(center, dtype=float)
     n = dual.halfspaces.shape[1]
-    if center.shape != (n,):
-        raise LengthMismatch(f"expected a centre in R^{n}, got shape {center.shape}")
-    if not isinstance(radius, numbers.Real):
-        raise BadShape(f"radius must be a real number, got {radius!r}")
-    if not (0 < radius < np.inf):  # NaN fails this too
-        raise BadShape(f"radius must be finite and positive, got {radius}")
-    if not isinstance(nodes_per_axis, (int, np.integer)) or nodes_per_axis < 1:
-        raise BadShape(f"nodes_per_axis must be an integer >= 1, got {nodes_per_axis!r}")
+    center = numeric("center", center, float, (n,))
+    radius = require_real("radius", radius, 0)
+    nodes_per_axis = require_int("nodes_per_axis", nodes_per_axis, 1)
     margins = dual.halfspaces @ center
     if not np.all(margins >= radius - 1e-12):
         raise SupportEscapesDualCone(
@@ -146,9 +136,7 @@ def eval_f(stf: SpectralTestFunction, z) -> complex:
     """F(z) = sum_k w_k psi_k exp(2 pi i z . xi_k), Im z in the closed cone.
 
     A sum that is not finite because z is not raises NonFiniteValues."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (stf.n,):
-        raise LengthMismatch(f"expected a point in C^{stf.n}")
+    z = numeric("z", z, complex, (stf.n,))
     _check_revival(stf.nodes, float(np.max(np.abs(z.real))))
     phases = np.exp(2j * np.pi * (stf.nodes @ z))
     return complex(require_finite(z, np.sum(stf.weights * stf.psi_vals * phases)))
@@ -214,9 +202,7 @@ def slice_grid(stf: SpectralTestFunction, spec: gr.GridSpec, y) -> gr.GridFuncti
         raise LengthMismatch("grid and spectrum dimensions differ")
     coeffs = stf.weights * stf.psi_vals
     if y is not None:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (stf.n,):
-            raise LengthMismatch(f"expected y in R^{stf.n}, got shape {y.shape}")
+        y = numeric("y", y, float, (stf.n,))
         require_finite(y, y.sum())
         coeffs = coeffs * np.exp(-2.0 * np.pi * (stf.nodes @ y))
     return gr.GridFunction(spec, _contract(_phases(spec, stf.nodes), coeffs,
@@ -272,8 +258,8 @@ def hardy_norm(stf: SpectralTestFunction, cone: PolyhedralCone, p: int,
     over y = project(t) for t in the probe lattice.
 
     Returns (norm, t_at_max)."""
-    if p not in (1, 2):
-        raise BadShape("p must be 1 or 2")
+    if require_real("p", p, 0) not in (1, 2):
+        raise BadShape(f"p must be 1 or 2, got {p!r}")
     # the float64 moduli of one node's component
     nodes = _lift_spectra(stf, cone, probe_lattice, spec, {}, spec.npoints / 2)
     norms = [gr.lp_norm(gr.GridFunction(spec, component), p) for (component,) in nodes]

@@ -142,7 +142,7 @@ class TestProject:
 
     def test_scalar_refused(self, cone_b):
         # a scalar used to raise a bare IndexError
-        with pytest.raises(LengthMismatch, match="expected 3 parameters, got a scalar"):
+        with pytest.raises(LengthMismatch, match=re.escape("t must have shape (..., 3), got ()")):
             cg.project(cone_b, 5.0)
 
     def test_linearity(self, cone_b):
@@ -250,7 +250,8 @@ class TestRectContains:
         lambda cone, r: cg.zonotope_axis_intervals(cone, r, 0, np.zeros((4, 2))),
     ], ids=["scalar", "many", "intervals"])
     def test_radii_length_mismatch(self, cone_b, call):
-        with pytest.raises(LengthMismatch, match="expected 3 radii"):
+        with pytest.raises(LengthMismatch,
+                           match=r"(radii|query\.t) must have shape \(3,\), got \(2,\)"):
             call(cone_b, np.ones(2))
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -260,8 +261,8 @@ class TestRectContains:
     ], ids=["many", "intervals"])
     def test_row_width_mismatch(self, cone_b, call, width):
         # rows of width 3 on the plane used to reach numpy's matmul error
-        message = f"rows must have width n = 2, got shape (4, {width})"
-        with pytest.raises(LengthMismatch, match=re.escape(message)):
+        message = rf"(offsets|transverse) must have shape \(\.\.\., 2\), got \(4, {width}\)"
+        with pytest.raises(LengthMismatch, match=message):
             call(cone_b, np.zeros((4, width)))
 
     @pytest.mark.parametrize("t, beta", [
@@ -270,7 +271,8 @@ class TestRectContains:
     ])
     def test_bad_query_refused(self, t, beta):
         # NaN used to pass, and the centre then read as outside
-        message = f"got t={np.asarray(t)}, beta={beta}"
+        message = (f"beta must be finite and positive, got {beta}" if t == (1.0, 1.0)
+                   else f"t must be finite and positive, got {np.asarray(t)}")
         with pytest.raises(BadShape, match=re.escape(message)):
             cg.TwistedRectangleQuery(np.zeros(2), t, beta)
 
@@ -300,6 +302,27 @@ class TestRectContains:
         with pytest.raises(BadShape, match=rf"axis {axis} is not a coordinate index "
                                            rf"in range\(2\)"):
             cg.zonotope_axis_intervals(cone_b, np.ones(3), axis, np.zeros((4, 2)))
+
+    def test_query_read_only(self):
+        # beta = nan after construction used to put the centre outside
+        x, t = np.zeros(2), np.ones(3)
+        q = cg.TwistedRectangleQuery(x, t)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.beta = np.nan
+        for array in (q.x, q.t):
+            with pytest.raises(ValueError):
+                array[0] = np.nan
+        x[0] = t[0] = 5.0  # the caller's arrays are not the query's
+        assert q.x[0] == 0.0 and q.t[0] == 1.0
+
+    @pytest.mark.parametrize("x", [0.0, np.zeros(3)])
+    def test_query_centre_length_mismatch(self, cone_b, x):
+        # a scalar x used to broadcast, and x in R^3 to reach numpy's
+        # broadcast error
+        q = cg.TwistedRectangleQuery(x, np.ones(3))
+        with pytest.raises(LengthMismatch, match=re.escape(
+                f"query.x must have shape (2,), got {np.shape(x)}")):
+            cg.rect_contains(cone_b, q, np.zeros(2))
 
 
 class TestParallelohedron:

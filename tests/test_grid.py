@@ -34,7 +34,7 @@ class TestSpec:
 
     def test_rejects_float_dimension(self):
         # 2.0 used to pass and fail later in write_tgf's struct format
-        with pytest.raises(BadShape, match="n must be an integer, got 2.0"):
+        with pytest.raises(BadShape, match="n must be an integer >= 1, got 2.0"):
             gr.GridSpec(n=2.0, sizes=(16, 16), box_half=1.0)
 
     def test_rejects_float_sizes(self):

@@ -69,7 +69,8 @@ class TestLattice:
         (0.5, 1.0), (0.5, np.nan), (0.5, np.inf),
     ])
     def test_bad_scales_refused(self, t_min, ratio):
-        with pytest.raises(BadShape, match=f"got t_min={t_min}, ratio={ratio}"):
+        with pytest.raises(BadShape, match=f"t_min must be finite and positive, got {t_min}"
+                           if ratio == 2.0 else f"ratio must be finite and > 1, got {ratio}"):
             po.TLattice(m=2, t_min=t_min, ratio=ratio, levels=3)
 
     @pytest.mark.parametrize("name, value", [("m", 3.0), ("levels", 2.0), ("m", 0),
@@ -78,6 +79,17 @@ class TestLattice:
         # m = 3.0 used to give node_count 8.0, levels = 2.0 a bare TypeError
         with pytest.raises(BadShape, match=f"{name} must be an integer >= 1, got {value}"):
             po.TLattice(t_min=0.5, **({"m": 3, "levels": 2} | {name: value}))
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        lat = po.TLattice(m=np.int64(3), t_min=np.float32(0.5), levels=np.int64(2),
+                          ratio=np.float64(2.0))
+        assert [type(v) for v in (lat.m, lat.t_min, lat.levels, lat.ratio)] == [
+            int, float, int, float]
+
+    def test_int64_node_count_capped(self):
+        # np.int64(4) ** np.int64(32) wrapped to 0 and passed the cap
+        with pytest.raises(BadShape, match=r"4\^32 nodes exceed the cap 4096"):
+            po.TLattice(m=np.int64(32), t_min=0.5, levels=np.int64(4))
 
     def test_default_anchored_at_2h(self, spec):
         lat = po.default_lattice(spec, m=3, levels=4)
@@ -365,6 +377,14 @@ class TestGeneratorIndices:
                                            rf"index in range\(3\)"):
             po.build_field(gaussian, cone_b, lat, selector={key: po.X_CHOICE})
 
+    @pytest.mark.parametrize("selector", [[], 0, [(0, po.X_CHOICE)], "X", True])
+    def test_selector_not_a_dict_refused(self, cone_b, gaussian, selector):
+        # [] and 0 used to read as no selector, the others to reach a bare
+        # AttributeError
+        lat = po.TLattice(m=3, t_min=0.5, levels=1)
+        with pytest.raises(BadShape, match=re.escape(f"got {selector!r}")):
+            po.build_field(gaussian, cone_b, lat, selector=selector)
+
 
 class TestDecayBound:
     def test_fitted_constant_bounded(self, spec, cone_b, gaussian):
@@ -392,6 +412,22 @@ class TestFieldIO:
         assert back.selector == fld.selector
         assert np.array_equal(back.values, fld.values)
         assert (tmp_path / "field" / "t_01_00_01.tgf").exists()
+
+    @pytest.mark.parametrize("lattice, sizes", [
+        ({"m": np.int64(3), "t_min": 0.5}, (16, 16)),
+        ({"m": 3, "t_min": np.float32(0.5)}, (16, 16)),
+        ({"m": 3, "t_min": 0.5}, (np.int64(16),) * 2),
+    ], ids=["int64-m", "float32-t_min", "int64-sizes"])
+    def test_numpy_scalars_written(self, tmp_path, cone_b, lattice, sizes):
+        # each used to be accepted, and json.dump then raised a bare
+        # TypeError in write_field
+        spec = gr.GridSpec(n=2, sizes=sizes, box_half=4.0)
+        fld = po.build_field(gr.GridFunction(spec, np.ones(spec.sizes)), cone_b,
+                             po.TLattice(levels=2, **lattice))
+        po.write_field(tmp_path / "field", fld)
+        back = po.read_field(tmp_path / "field")
+        assert (back.lattice, back.spec) == (fld.lattice, fld.spec)
+        assert np.array_equal(back.values, fld.values)
 
     def test_numpy_integer_selector_key(self, tmp_path, cone_b):
         # json.dump used to refuse the np.int64 key after every node file
@@ -476,7 +512,7 @@ class TestFieldIO:
     @pytest.mark.parametrize("key, message", [
         ("m", "m must be an integer >= 1, got 3.0"),
         ("levels", "levels must be an integer >= 1, got 2.0"),
-        ("grid.n", "n must be an integer, got 2.0"),
+        ("grid.n", "n must be an integer >= 1, got 2.0"),
     ])
     def test_float_dimension_refused(self, tmp_path, cone_b, key, message):
         # "m": 3.0 used to reach a bare TypeError, "n": 2.0 to be accepted

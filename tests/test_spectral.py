@@ -53,7 +53,7 @@ class TestMakeBump:
 
     def test_center_length_refused(self, dual_b):
         # used to fail in numpy's matmul
-        with pytest.raises(LengthMismatch, match=r"centre in R\^2, got shape \(3,\)"):
+        with pytest.raises(LengthMismatch, match=r"center must have shape \(2,\), got \(3,\)"):
             sp.make_bump_psi(dual_b, [1.2, 1.2, 1.2], 0.3)
 
     def test_nonfinite_center_refused(self, dual_b):
@@ -144,7 +144,7 @@ class TestBoundaryGrid:
     def test_slice_y_length_refused(self, bump):
         # a y of the wrong length used to reach numpy's matmul error
         spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
-        with pytest.raises(LengthMismatch, match=r"expected y in R\^2, got shape \(3,\)"):
+        with pytest.raises(LengthMismatch, match=r"y must have shape \(2,\), got \(3,\)"):
             sp.slice_grid(bump, spec, y=[0.5, 0.5, 0.5])
 
     @pytest.mark.parametrize("y", [[np.nan, 0.5], [0.5, np.inf]])
