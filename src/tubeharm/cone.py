@@ -30,6 +30,7 @@ from .errors import (
     BadShape,
     BoundaryY,
     DegenerateSubset,
+    LengthMismatch,
     NotUnit,
     UnsupportedDimension,
     numeric,
@@ -283,6 +284,9 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
             or not 0 <= axis < cone.n):
         raise BadShape(f"axis {axis!r} is not a coordinate index in range({cone.n})")
     transverse = numeric("transverse", transverse, float, (..., cone.n))
+    if transverse.ndim != 2:
+        raise LengthMismatch(f"transverse must have shape (rows, {cone.n}), "
+                             f"got {transverse.shape}")
     bound = _member_bound(cone, _radii(cone, radii))
     lo = np.full(transverse.shape[0], -np.inf)
     hi = np.full(transverse.shape[0], np.inf)

@@ -18,12 +18,15 @@ real arithmetic,
 with S M = `np.fft.ifftshift(M)`, the symbol in FFT order.
 
 One type, `GridFunction`, holds grid samples and, from `fourier_forward`
-only, values on the reciprocal lattice; a TGF2 file stores one.  Files
-are written by `_replace_file`, which replaces an existing file instead
-of truncating it: ext4's auto_da_alloc (on by default) starts writeback
-of a file truncated and rewritten when it is closed, so rewriting a file
-in place sends every rewrite to the device, while the pages of an
-unlinked file that were never written back are dropped.
+only, values on the reciprocal lattice; a TGF2 file stores one.  A field
+file (`poisson.write_field`) shares its payload layout, values row-major
+as little-endian (re, im) f64 pairs, which only `_replace_file` and
+`_read_payload` know.  Files are written by `_replace_file`, which
+replaces an existing file instead of truncating it: ext4's auto_da_alloc
+(on by default) starts writeback of a file truncated and rewritten when
+it is closed, so rewriting a file in place sends every rewrite to the
+device, while the pages of an unlinked file that were never written back
+are dropped.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def lp_norm(f: GridFunction, p) -> float:
     the samples alone, not on the grid's shape, and its error is
     O(eps log N) of the sum (Higham, SIAM J. Sci. Comput. 14, 1993)."""
     mag = np.abs(f.values)
-    if p == np.inf:
+    if isinstance(p, (float, np.floating)) and p == np.inf:  # an array p goes to require_real
         return float(require_finite(f.values, mag.max()))
     if require_real("p", p, 0) not in (1, 2):
         raise BadShape(f"p must be 1, 2 or inf, got {p!r}")
@@ -127,7 +130,7 @@ def lp_norm(f: GridFunction, p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# TGF2 binary container
+# Binary files: the TGF2 container and the payload layout
 
 _MAGIC = b"TGF2"
 _PAYLOAD = "<c16"  # little-endian (re, im) f64 pairs
@@ -147,8 +150,8 @@ def _read_exact(fh, end: int, size: int, what: str) -> bytes:
 
 
 def _replace_file(path, *buffers) -> None:
-    """Write `buffers` (bytes or C-contiguous arrays, each as its own
-    memory) to a new file at `path`.
+    """Write `buffers` to a new file at `path`: bytes as they are, and
+    arrays of complex values in the payload layout.
 
     An existing file is unlinked first, not truncated (module docstring);
     a reader that has it open keeps the old, complete contents, and a
@@ -159,16 +162,28 @@ def _replace_file(path, *buffers) -> None:
         os.unlink(path)
     with open(path, "wb") as fh:
         for buf in buffers:
-            fh.write(buf)
+            fh.write(buf if isinstance(buf, bytes) else np.ascontiguousarray(buf, _PAYLOAD))
+
+
+def _read_payload(fh, end: int, shape) -> np.ndarray:
+    """The rest of `fh`, `end` bytes long, as values of `shape`, counted
+    before any allocation."""
+    size, left = 16 * math.prod(shape), end - fh.tell()
+    _check_read(size, left, "payload")
+    if left > size:
+        raise BadShape(f"{left - size} trailing bytes after the payload")
+    values = np.empty(shape, dtype=_PAYLOAD)
+    _check_read(size, fh.readinto(values), "payload")
+    return values
 
 
 def write_tgf(path, f: GridFunction) -> None:
     """Scalar grid container: magic, u32 n, n u32 sizes, one f64
-    box_half, then the values row-major as little-endian (re, im) f64
-    pairs.  A file at `path` is replaced, not rewritten in place."""
+    box_half, then the values in the payload layout.  A file at `path`
+    is replaced, not rewritten in place."""
     spec = f.spec
     header = _MAGIC + struct.pack(f"<I{spec.n}Id", spec.n, *spec.sizes, spec.box_half)
-    _replace_file(path, header, np.ascontiguousarray(f.values, dtype=_PAYLOAD))
+    _replace_file(path, header, f.values)
 
 
 def read_tgf(path) -> GridFunction:
@@ -183,10 +198,4 @@ def read_tgf(path) -> GridFunction:
         *sizes, box_half = struct.unpack(fmt, _read_exact(fh, end, struct.calcsize(fmt),
                                                           "header"))
         spec = GridSpec(n=n, sizes=sizes, box_half=box_half)
-        size, left = 16 * spec.npoints, end - fh.tell()
-        _check_read(size, left, "payload")
-        if left > size:
-            raise BadShape(f"{left - size} trailing bytes after the payload")
-        values = np.empty(spec.sizes, dtype=_PAYLOAD)
-        _check_read(size, fh.readinto(values), "payload")
-        return GridFunction(spec, values)
+        return GridFunction(spec, _read_payload(fh, end, spec.sizes))

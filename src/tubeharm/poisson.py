@@ -31,11 +31,10 @@ for the axes and the diagonal of the plane).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -274,53 +273,22 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
 
 
 # ---------------------------------------------------------------------------
-# Field persistence: a `manifest.json` holding the lattice, the grid and the
-# selector, and one TGF2 file per node, named by `field_node_name` from the
-# node's multi-index.  The node names follow from the lattice, so the
-# manifest does not list them; a `nodes` key written by older versions is
-# ignored.
+# Field persistence: one file holding a 4-byte magic, the u32 length of a
+# JSON manifest (lattice, grid, selector), the manifest, and every node's
+# values node-major in `grid`'s payload layout.  `grid._replace_file`
+# writes it, so an interrupted write leaves no file or a truncated one.
 
-def field_node_name(idx) -> str:
-    return "t_" + "_".join(f"{k:02d}" for k in idx) + ".tgf"
+_FIELD_MAGIC = b"TFLD"
 
 
-def write_field(dirpath, fld: OperatorField) -> None:
-    """One TGF2 file per node and a `manifest.json`; node files of an
-    earlier field in `dirpath` that this lattice does not write are
-    removed, and no other file.
-
-    The manifest is serialised before any file is touched, the old one
-    removed before the first node file and the new one written last: an
-    interrupted write leaves no manifest, never an old one over new
-    nodes."""
-    names = [field_node_name(idx) for idx in fld.lattice.indices()]
-    manifest = json.dumps({
-        "m": fld.lattice.m,
-        "t_min": fld.lattice.t_min,
-        "ratio": fld.lattice.ratio,
-        "levels": fld.lattice.levels,
-        "selector": fld.selector,
-        "grid": {
-            "n": fld.spec.n,
-            "sizes": list(fld.spec.sizes),
-            "box_half": fld.spec.box_half,
-        },
-    }, indent=2)
-    try:
-        # one read of an existing directory names the stale node files
-        found = os.listdir(dirpath)
-    except FileNotFoundError:
-        os.makedirs(dirpath, exist_ok=True)
-        found = []
-    path = os.path.join(dirpath, "manifest.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-    for name in set(found).difference(names):
-        if name.startswith("t_") and name.endswith(".tgf"):
-            os.unlink(os.path.join(dirpath, name))
-    for row, name in enumerate(names):
-        gr.write_tgf(os.path.join(dirpath, name), fld.node_function(row))
-    gr._replace_file(path, manifest.encode())
+def write_field(path, fld: OperatorField) -> None:
+    """Replace the file `path` by `fld`: magic, u32 manifest length, the
+    JSON manifest (serialised first), values node-major in the payload
+    layout.  An interrupted write leaves no file or a truncated one."""
+    manifest = json.dumps({**asdict(fld.lattice), "selector": fld.selector,
+                           "grid": asdict(fld.spec)}, indent=2).encode()
+    gr._replace_file(path, _FIELD_MAGIC + len(manifest).to_bytes(4, "little") + manifest,
+                     fld.values)
 
 
 def _lookup_keys(data: dict, keys, source) -> list:
@@ -335,30 +303,34 @@ def _lookup_keys(data: dict, keys, source) -> list:
     return [data[key] for key in keys]
 
 
-def read_field(dirpath) -> OperatorField:
-    path = os.path.join(dirpath, "manifest.json")
+def read_field(path) -> OperatorField:
+    """Read a `write_field` file: magic, u32 manifest length, manifest,
+    node-major payload.  A missing or truncated file, as an interrupted
+    write leaves, raises BadShape."""
     try:
-        with open(path) as fh:
-            # JSON keys are strings: the selector's decimal keys are read as int
-            manifest = json.load(fh, object_pairs_hook=lambda pairs: {
-                int(k) if k.isdecimal() else k: v for k, v in pairs})
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise BadShape(f"{path} is missing: no field, or an interrupted write") from None
-    m, t_min, ratio, levels, selector, grid = _lookup_keys(
-        manifest, ("m", "t_min", "ratio", "levels", "selector", "grid"), path)
-    lattice = TLattice(m=m, t_min=t_min, ratio=ratio, levels=levels)
-    n, sizes, box_half = _lookup_keys(grid, ("n", "sizes", "box_half"), f"{path} grid")
-    spec = gr.GridSpec(n=n, sizes=sizes, box_half=box_half)
-    values = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
-    for row, name in enumerate(map(field_node_name, lattice.indices())):
-        node_path = os.path.join(dirpath, name)
+    with fh:
+        end = os.fstat(fh.fileno()).st_size
+        header = gr._read_exact(fh, end, 8, "header")
+        if header[:4] != _FIELD_MAGIC:
+            raise BadShape(f"{path} is not a field file: magic {header[:4]!r}")
+        length = int.from_bytes(header[4:], "little")
+        source = f"{path} manifest"
         try:
-            node = gr.read_tgf(node_path)
-        except FileNotFoundError:
-            raise BadShape(f"{node_path} is missing: the lattice has it") from None
-        if node.spec != spec:
-            raise BadShape(f"{name}: expected the manifest grid {spec}, found {node.spec}")
-        values[row] = node.values
+            # JSON keys are strings: the selector's decimal keys are read as int
+            manifest = json.loads(gr._read_exact(fh, end, length, "manifest"),
+                                  object_pairs_hook=lambda pairs: {
+                                      int(k) if k.isdecimal() else k: v for k, v in pairs})
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise BadShape(f"{source} is not JSON: {exc}") from None
+        m, t_min, ratio, levels, selector, grid = _lookup_keys(
+            manifest, ("m", "t_min", "ratio", "levels", "selector", "grid"), source)
+        lattice = TLattice(m=m, t_min=t_min, ratio=ratio, levels=levels)
+        n, sizes, box_half = _lookup_keys(grid, ("n", "sizes", "box_half"), f"{source} grid")
+        spec = gr.GridSpec(n=n, sizes=sizes, box_half=box_half)
+        values = gr._read_payload(fh, end, (lattice.node_count, *spec.sizes))
     if selector is not None:
         _check_selector(selector, m)
     return OperatorField(lattice=lattice, spec=spec, values=values,

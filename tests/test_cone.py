@@ -303,6 +303,14 @@ class TestRectContains:
                                            rf"in range\(2\)"):
             cg.zonotope_axis_intervals(cone_b, np.ones(3), axis, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("transverse", [np.zeros(2), np.zeros((3, 4, 2))], ids=["1-d", "3-d"])
+    def test_interval_rows_not_2d_refused(self, cone_b, transverse):
+        # one point of shape (2,) used to give two copies of its interval,
+        # and a 3-d array to reach numpy's broadcast error
+        with pytest.raises(LengthMismatch, match=re.escape(
+                f"transverse must have shape (rows, 2), got {transverse.shape}")):
+            cg.zonotope_axis_intervals(cone_b, np.ones(3), 0, transverse)
+
     def test_query_read_only(self):
         # beta = nan after construction used to put the centre outside
         x, t = np.zeros(2), np.ones(3)

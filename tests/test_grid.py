@@ -125,6 +125,16 @@ class TestNorms:
         f = random_grid(spec2d, 6)
         assert gr.lp_norm(f, np.inf) == np.max(np.abs(f.values))
 
+    @pytest.mark.parametrize("p", [np.float64(np.inf), np.float32(np.inf)])
+    def test_numpy_inf_is_the_sup(self, spec2d, p):
+        f = random_grid(spec2d, 6)
+        assert gr.lp_norm(f, p) == np.max(np.abs(f.values))
+
+    def test_array_p_refused(self, spec2d):
+        # used to raise numpy's bare ValueError from p == np.inf
+        with pytest.raises(BadShape, match=r"p must be a real number, got array\(\[1, 2\]\)"):
+            gr.lp_norm(random_grid(spec2d, 6), np.array([1, 2]))
+
     @pytest.mark.parametrize("p", [1, 2, np.inf])
     def test_nonfinite_rejected(self, spec2d, p):
         f = random_grid(spec2d, 7)

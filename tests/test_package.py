@@ -3,9 +3,9 @@ class without a raiser, no public function that only tests call, an
 exact list of settable values (defaulted parameters and dataclass
 fields), input checks only in `errors`, one enumeration of each size of
 generator subset, one node loop for the Poisson symbol, fields built only
-by its sources and reducers, files written only by one replace helper, no
-console script that does not import, and no import of scipy or numpy.ma
-on any path."""
+by its sources and reducers, files written only by one replace helper,
+one owner of the payload's byte layout, no console script that does not
+import, and no import of scipy or numpy.ma on any path."""
 
 import ast
 import importlib
@@ -62,9 +62,10 @@ def test_every_error_class_is_raised():
 def test_public_functions_have_a_non_test_caller():
     # a name (or attribute) anywhere in the package or the benchmark other
     # than the def itself counts as a caller.  The functions listed have
-    # none and are kept on purpose: the centred transforms are the tests'
-    # reference for the node loop, and the benchmark traces them by name
-    # (a string)
+    # none and are kept on purpose, and the benchmark traces each by name
+    # (a string): the centred transforms are the tests' reference for the
+    # node loop, and write_tgf/read_tgf the one-grid container, whose
+    # payload layout a field file shares
     defined = set()
     referenced = set()
     for path in [*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")]:
@@ -77,7 +78,7 @@ def test_public_functions_have_a_non_test_caller():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    assert defined - referenced == {"fourier_forward", "fourier_inverse"}
+    assert defined - referenced == {"fourier_forward", "fourier_inverse", "write_tgf", "read_tgf"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -200,6 +201,13 @@ def test_files_are_written_only_by_the_replace_helper():
                            for mode in modes):
                         writers.add((path.stem, getattr(top, "name", None)))
     assert writers == {("grid", "_replace_file")}
+
+
+def test_payload_layout_has_one_owner():
+    # the bytes of a stored value are grid's decision: TGF2 and field
+    # files both write and read them through grid's helpers
+    owners = {path.stem for path in PACKAGE_DIR.glob("*.py") if "<c16" in path.read_text()}
+    assert owners == {"grid"}
 
 
 def test_console_scripts_import():

@@ -411,7 +411,7 @@ class TestFieldIO:
         assert back.spec == fld.spec
         assert back.selector == fld.selector
         assert np.array_equal(back.values, fld.values)
-        assert (tmp_path / "field" / "t_01_00_01.tgf").exists()
+        assert (tmp_path / "field").is_file()
 
     @pytest.mark.parametrize("lattice, sizes", [
         ({"m": np.int64(3), "t_min": 0.5}, (16, 16)),
@@ -448,50 +448,67 @@ class TestFieldIO:
             po.write_field(tmp_path / "field", fld)
         assert not (tmp_path / "field").exists()
 
-    def _written(self, tmp_path, cone_b, levels=2):
+    def _written(self, tmp_path, cone_b, levels=2, name="field"):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
         x1, x2 = spec.coords()
         f = gr.GridFunction(spec, np.exp(-(x1**2 + x2**2)))
         lat = po.TLattice(m=3, t_min=0.5, levels=levels)
-        po.write_field(tmp_path / "field", po.build_field(f, cone_b, lat))
-        return tmp_path / "field"
+        po.write_field(tmp_path / name, po.build_field(f, cone_b, lat))
+        return tmp_path / name
 
-    @staticmethod
-    def _entry(manifest: dict, key: str):
-        """The dict holding the dotted `key` of `manifest`, and its last name."""
-        *parents, last = key.split(".")
-        for name in parents:
-            manifest = manifest[name]
-        return manifest, last
+    _DROP = object()
+
+    @classmethod
+    def _rewrite_header(cls, path, key, change):
+        """Rewrite the manifest of the field file at `path` and keep its
+        payload: the entry at the dotted `key` ("" for the whole manifest)
+        becomes `change` of its value, or is deleted where that is _DROP."""
+        raw = path.read_bytes()
+        start = 8 + int.from_bytes(raw[4:8], "little")
+        root = {"": json.loads(raw[8:start])}
+        where, last = root, ""
+        for name in filter(None, key.split(".")):
+            where, last = where[last], name
+        value = change(where[last])
+        if value is cls._DROP:
+            del where[last]
+        else:
+            where[last] = value
+        manifest = json.dumps(root[""]).encode()
+        path.write_bytes(raw[:4] + len(manifest).to_bytes(4, "little") + manifest + raw[start:])
+
+    def test_one_regular_file(self, tmp_path, cone_b):
+        path = self._written(tmp_path, cone_b)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.is_file() and not path.is_symlink()
 
     def test_rewrite_with_a_smaller_lattice(self, tmp_path, cone_b):
-        # the 19 node files the 8-node lattice does not write used to stay
         path = self._written(tmp_path, cone_b, levels=3)
-        (path / "notes.txt").write_text("kept")
-        fld = po.read_field(self._written(tmp_path / "small", cone_b))
+        (tmp_path / "notes.txt").write_text("kept")
+        small = self._written(tmp_path, cone_b, name="small")
+        fld = po.read_field(small)
         po.write_field(path, fld)
-        names = {po.field_node_name(idx) for idx in fld.lattice.indices()}
-        assert {p.name for p in path.iterdir()} == names | {"manifest.json", "notes.txt"}
+        assert path.read_bytes() == small.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["field", "notes.txt", "small"]
         assert np.array_equal(po.read_field(path).values, fld.values)
 
-    def test_nodes_list_of_older_manifests_ignored(self, tmp_path, cone_b):
-        path = self._written(tmp_path, cone_b)
-        fld = po.read_field(path)
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["nodes"] = [po.field_node_name(idx) for idx in fld.lattice.indices()]
-        (path / "manifest.json").write_text(json.dumps(manifest))
+    def test_open_reader_keeps_the_old_field(self, tmp_path, cone_b):
+        # the file is replaced, not truncated under the reader
+        path = self._written(tmp_path, cone_b, levels=3)
+        old = path.read_bytes()
+        fld = po.read_field(self._written(tmp_path, cone_b, name="small"))
+        with open(path, "rb") as fh:
+            po.write_field(path, fld)
+            assert fh.read() == old
         assert np.array_equal(po.read_field(path).values, fld.values)
 
     @pytest.mark.parametrize("key", ["selector", "grid.box_half"])
     def test_missing_key_rejected(self, tmp_path, cone_b, key):
         # a manifest without "selector" used to raise a bare KeyError
         path = self._written(tmp_path, cone_b)
-        manifest = json.loads((path / "manifest.json").read_text())
-        where, last = self._entry(manifest, key)
-        del where[last]
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BadShape, match=rf"manifest.json{' grid' if '.' in key else ''} "
-                                           rf"has no key '{last}'"):
+        self._rewrite_header(path, key, lambda _: self._DROP)
+        with pytest.raises(BadShape, match=rf"manifest{' grid' if '.' in key else ''} "
+                                           rf"has no key '{key.rpartition('.')[2]}'"):
             po.read_field(path)
 
     @pytest.mark.parametrize("selector, message", [
@@ -503,9 +520,7 @@ class TestFieldIO:
         # {"0": "Q", "7": "X"} used to read back as {0: 'Q', 7: 'X'}, a
         # selector build_field refuses
         path = self._written(tmp_path, cone_b)
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["selector"] = selector
-        (path / "manifest.json").write_text(json.dumps(manifest))
+        self._rewrite_header(path, "selector", lambda _: selector)
         with pytest.raises(BadShape, match=message):
             po.read_field(path)
 
@@ -517,10 +532,7 @@ class TestFieldIO:
     def test_float_dimension_refused(self, tmp_path, cone_b, key, message):
         # "m": 3.0 used to reach a bare TypeError, "n": 2.0 to be accepted
         path = self._written(tmp_path, cone_b)
-        manifest = json.loads((path / "manifest.json").read_text())
-        where, last = self._entry(manifest, key)
-        where[last] = float(where[last])
-        (path / "manifest.json").write_text(json.dumps(manifest))
+        self._rewrite_header(path, key, float)
         with pytest.raises(BadShape, match=message):
             po.read_field(path)
 
@@ -536,10 +548,7 @@ class TestFieldIO:
         # each of these used to reach a bare TypeError, and a selector
         # list an AttributeError
         path = self._written(tmp_path, cone_b)
-        manifest = json.loads((path / "manifest.json").read_text())
-        where, last = self._entry(manifest, key)
-        where[last] = value
-        (path / "manifest.json").write_text(json.dumps(manifest))
+        self._rewrite_header(path, key, lambda _: value)
         with pytest.raises(BadShape, match=message):
             po.read_field(path)
 
@@ -547,50 +556,79 @@ class TestFieldIO:
     def test_manifest_not_an_object_refused(self, tmp_path, cone_b, manifest):
         # these used to reach a bare TypeError in the key lookup
         path = self._written(tmp_path, cone_b)
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BadShape, match=rf"manifest.json must be a JSON object, "
+        self._rewrite_header(path, "", lambda _: manifest)
+        with pytest.raises(BadShape, match=rf"manifest must be a JSON object, "
                                            rf"got {re.escape(repr(manifest))}"):
             po.read_field(path)
 
     def test_float_sizes_refused(self, tmp_path, cone_b):
         # [32.0, 32.0] used to reach a bare TypeError in GridSpec
         path = self._written(tmp_path, cone_b)
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["grid"]["sizes"] = [32.0, 32.0]
-        (path / "manifest.json").write_text(json.dumps(manifest))
+        self._rewrite_header(path, "grid.sizes", lambda _: [32.0, 32.0])
         with pytest.raises(BadShape, match="sizes must be integer powers of two"):
             po.read_field(path)
 
-    @pytest.mark.parametrize("name", ["manifest.json", "t_01_00_01.tgf"])
+    @pytest.mark.parametrize("first", [b"[", b"\xff"])
+    def test_manifest_not_json_refused(self, tmp_path, cone_b, first):
+        path = self._written(tmp_path, cone_b)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + first + raw[9:])
+        with pytest.raises(BadShape, match="manifest is not JSON"):
+            po.read_field(path)
+
+    @pytest.mark.parametrize("name", ["manifest.json"])
     def test_missing_file_refused(self, tmp_path, cone_b, name):
-        # both used to raise FileNotFoundError
-        path = self._written(tmp_path, cone_b)
-        (path / name).unlink()
-        with pytest.raises(BadShape, match=re.escape(f"{path / name} is missing")):
+        # used to raise FileNotFoundError; the field is written under the
+        # parameter's name
+        path = self._written(tmp_path, cone_b, name=name)
+        path.unlink()
+        with pytest.raises(BadShape, match=re.escape(f"{path} is missing")):
             po.read_field(path)
 
-    def test_interrupted_rewrite_leaves_no_manifest(self, tmp_path, cone_b, monkeypatch):
-        # the old manifest used to stay over a mix of old and new nodes
+    def test_every_proper_prefix_refused(self, tmp_path, cone_b):
+        # an interrupted write leaves a prefix of the file: cuts in the
+        # magic and the length read as a short header
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        fld = po.build_field(gr.GridFunction(spec, np.ones(spec.sizes)), cone_b,
+                             po.TLattice(m=3, t_min=0.5, levels=1))
+        path = tmp_path / "field"
+        po.write_field(path, fld)
+        raw = path.read_bytes()
+        start = 8 + int.from_bytes(raw[4:8], "little")
+        assert len(raw) == start + 16 * spec.npoints
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            what = "header" if cut < 8 else "manifest" if cut < start else "payload"
+            with pytest.raises(BadShape, match=f"truncated {what}: expected"):
+                po.read_field(path)
+
+    def test_trailing_bytes_refused(self, tmp_path, cone_b):
         path = self._written(tmp_path, cone_b)
-        fld = po.read_field(path)
-        written = []
-
-        def write_tgf(node_path, f):
-            if len(written) == 3:
-                raise OSError("interrupted")
-            written.append(node_path)
-
-        monkeypatch.setattr(gr, "write_tgf", write_tgf)
-        with pytest.raises(OSError, match="interrupted"):
-            po.write_field(path, fld)
-        assert not (path / "manifest.json").exists()
-        with pytest.raises(BadShape, match="manifest.json is missing"):
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(BadShape, match="7 trailing bytes after the payload"):
             po.read_field(path)
 
-    def test_node_grid_mismatch_rejected(self, tmp_path, cone_b):
+    def test_wrong_magic_refused(self, tmp_path, cone_b):
         path = self._written(tmp_path, cone_b)
-        other = gr.GridSpec(n=2, sizes=(32, 32), box_half=4.0)
-        gr.write_tgf(path / "t_00_01_00.tgf", gr.GridFunction(other, np.zeros((32, 32))))
-        with pytest.raises(BadShape, match=r"t_00_01_00.tgf: expected the manifest grid "
-                                           r".*box_half=8.0.*, found .*box_half=4.0"):
+        path.write_bytes(b"TGF2" + path.read_bytes()[4:])
+        with pytest.raises(BadShape, match="is not a field file: magic b'TGF2'"):
+            po.read_field(path)
+
+    def test_manifest_past_the_file_refused(self, tmp_path, cone_b):
+        # the length is checked against the file before the read
+        path = self._written(tmp_path, cone_b)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + (2**32 - 1).to_bytes(4, "little") + raw[8:])
+        message = f"truncated manifest: expected {2**32 - 1} bytes, got {len(raw) - 8}$"
+        with pytest.raises(BadShape, match=message):
+            po.read_field(path)
+
+    @pytest.mark.parametrize("sizes", [[2**31, 2**31], [2**16, 2**16]])
+    def test_payload_past_the_file_refused(self, tmp_path, cone_b, sizes):
+        # refused before the allocation, which would raise MemoryError
+        path = self._written(tmp_path, cone_b)
+        self._rewrite_header(path, "grid.sizes", lambda _: sizes)
+        expected, got = 16 * 8 * sizes[0] * sizes[1], 16 * 8 * 32 * 32
+        with pytest.raises(BadShape, match=f"truncated payload: expected {expected} bytes, "
+                                           f"got {got}$"):
             po.read_field(path)
