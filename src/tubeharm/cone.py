@@ -15,7 +15,9 @@ the zonotope facet normals, one per (n-1)-subset, the support matrix
 their |det| (the pieces of the Cauchy-Szego kernel).  The functions
 below read these tables and derive none of them again.  The tiling is a
 pulling triangulation read off which dual rays lie on which facet
-xi . e_j = 0 of the dual, so the module needs numpy alone.
+xi . e_j = 0 of the dual, so the module needs numpy alone.  Every routine
+works in any dimension n; the kernel needs a pointed cone, whose dual is
+full-dimensional.
 """
 
 from __future__ import annotations
@@ -109,15 +111,14 @@ class PolyhedralCone:
 
     @cached_property
     def dual(self) -> DualCone:
-        """The dual cone {xi : xi . e_j >= 0} and its extreme rays.
+        """The dual cone {xi : xi . e_j >= 0} and its extreme rays, in
+        any dimension n.
 
         An extreme ray is orthogonal to n-1 generators, so the candidates
         are the facet normals with both signs (pairwise distinct); those
-        satisfying every constraint are kept, normalized and sorted.  Only
-        n <= 4 is supported.
+        satisfying every constraint are kept, normalized and sorted.  The
+        rays of a cone that is not pointed span less than R^n.
         """
-        if self.n > 4:
-            raise UnsupportedDimension("ray enumeration supports n <= 4")
         normals = np.concatenate([self.facet_normals, -self.facet_normals])
         rays = normals[np.all(normals @ self.generators.T >= -RAY_TOL, axis=1)]
         rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
@@ -130,17 +131,17 @@ class PolyhedralCone:
         dual.rays, and their |det V| (s,).
 
         The pulling triangulation of _pulled_simplices: a simplicial dual
-        is its own piece, rays (0, ..., n-1).  A piece is dropped when its
-        |det V| is at most RANK_TOL times the largest, so a simplicial dual
-        keeps its one piece however thin it is.
+        is its own piece, rays (0, ..., n-1).  No piece is flat: a pulled
+        simplex joins a ray that lies off a facet's plane
+        (|v . e_j| > RAY_TOL) to a full-rank piece of that facet.  A dual
+        that is not full-dimensional (the cone is not pointed) raises
+        UnsupportedDimension.
         """
         rays = self.dual.rays
         if np.linalg.matrix_rank(rays) < self.n:
-            raise UnsupportedDimension("dual cone is not full-dimensional")
+            raise UnsupportedDimension("dual cone is not full-dimensional: cone not pointed")
         simplices = np.array(_pulled_simplices(rays, self.generators))
-        dets = np.abs(np.linalg.det(rays[simplices]))
-        keep = dets > RANK_TOL * dets.max()
-        return _frozen(simplices[keep]), _frozen(dets[keep])
+        return _frozen(simplices), _frozen(np.abs(np.linalg.det(rays[simplices])))
 
 
 @dataclass
@@ -288,21 +289,17 @@ def zonotope_axis_intervals(cone: PolyhedralCone, radii, axis: int, transverse):
         raise LengthMismatch(f"transverse must have shape (rows, {cone.n}), "
                              f"got {transverse.shape}")
     bound = _member_bound(cone, _radii(cone, radii))
-    lo = np.full(transverse.shape[0], -np.inf)
-    hi = np.full(transverse.shape[0], np.inf)
-    for nu, b in zip(cone.facet_normals, bound):
-        proj = transverse @ nu
-        a = nu[axis]
-        if abs(a) < 1e-14:
-            bad = np.abs(proj) > b
-            lo[bad], hi[bad] = 1.0, 0.0
-            continue
-        upper = (b - proj) / a
-        lower = (-b - proj) / a
-        if a < 0:
-            upper, lower = lower, upper
-        hi = np.minimum(hi, upper)
-        lo = np.maximum(lo, lower)
+    proj = transverse @ cone.facet_normals.T  # (rows, facets)
+    a = cone.facet_normals[:, axis]
+    moving = np.abs(a) >= 1e-14
+    # |proj + s a| <= b for s from (-b - sgn(a) proj) / |a| to (b - sgn(a) proj) / |a|
+    shift = -np.sign(a[moving]) * proj[:, moving]
+    scale = np.abs(a[moving])
+    lo = ((shift - bound[moving]) / scale).max(axis=1, initial=-np.inf)
+    hi = ((shift + bound[moving]) / scale).min(axis=1, initial=np.inf)
+    # a facet parallel to the axis admits a row entirely or not at all
+    blocked = (np.abs(proj[:, ~moving]) > bound[~moving]).any(axis=1)
+    lo[blocked], hi[blocked] = 1.0, 0.0
     return lo, hi
 
 

@@ -32,7 +32,7 @@ class LengthMismatch(TubeharmError):
 
 
 class UnsupportedDimension(TubeharmError):
-    """Operation only implemented for small ambient dimensions."""
+    """The dual cone is not full-dimensional (the cone is not pointed)."""
 
 
 class OutOfMemoryBudget(TubeharmError):

@@ -149,6 +149,23 @@ def _read_exact(fh, end: int, size: int, what: str) -> bytes:
     return fh.read(size)
 
 
+def _file_path(path, reading: bool):
+    """`path`, if it may name the file to read (`reading`) or to write;
+    else BadShape.  Only a str, bytes or os.PathLike is a path: open()
+    takes an int, or a bool, for a descriptor and closes it.  A directory
+    is refused, and so is a missing file to read or a missing directory
+    to write into; a write replaces a symlink to a directory, as any
+    symlink (`_replace_file`)."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise BadShape(f"path must be a str, bytes or os.PathLike, got {path!r}")
+    if os.path.isdir(path) and (reading or not os.path.islink(path)):
+        raise BadShape(f"{path} is a directory, not a file")
+    where = path if reading else os.path.dirname(os.path.abspath(path))
+    if not os.path.exists(where):
+        raise BadShape(f"{where} is missing")
+    return path
+
+
 def _replace_file(path, *buffers) -> None:
     """Write `buffers` to a new file at `path`: bytes as they are, and
     arrays of complex values in the payload layout.
@@ -156,6 +173,7 @@ def _replace_file(path, *buffers) -> None:
     An existing file is unlinked first, not truncated (module docstring);
     a reader that has it open keeps the old, complete contents, and a
     symlink at `path` is replaced, not followed."""
+    _file_path(path, reading=False)
     # os.unlink, not pathlib: a Path per rewrite raised by 1.4 MiB the
     # peak RSS of a process that rewrote 27 files 800 times each
     with contextlib.suppress(FileNotFoundError):
@@ -188,7 +206,7 @@ def write_tgf(path, f: GridFunction) -> None:
 
 def read_tgf(path) -> GridFunction:
     """Read a `write_tgf` file; bytes past the payload are refused."""
-    with open(path, "rb") as fh:
+    with open(_file_path(path, reading=True), "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         found = fh.read(4)
         if found != _MAGIC:

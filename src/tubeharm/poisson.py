@@ -140,7 +140,8 @@ class OperatorField:
     """u(x, t) (or a derivative of it) materialized over a t-lattice.
 
     Values are stored node-major in the lattice's lexicographic order;
-    all nodes share one grid."""
+    all nodes share one grid.  A selector is checked as `build_field`
+    checks one and stored with int keys, {} as None."""
 
     lattice: TLattice
     spec: gr.GridSpec
@@ -151,6 +152,10 @@ class OperatorField:
         expect = (self.lattice.node_count, *self.spec.sizes)
         if self.values.shape != expect:
             raise BadShape(f"field shape {self.values.shape} != {expect}")
+        if self.selector is not None:
+            _check_selector(self.selector, self.lattice.m)
+            # int keys: a numpy-integer key would not serialise in `write_field`
+            self.selector = {int(k): v for k, v in self.selector.items()} or None
 
     def node_function(self, row: int) -> gr.GridFunction:
         return gr.GridFunction(self.spec, self.values[row])
@@ -231,10 +236,7 @@ def _materialize(lattice: TLattice, spec: gr.GridSpec, selector, source, *args):
     out = np.empty((lattice.node_count, *spec.sizes), dtype=np.complex128)
     for row, (component,) in enumerate(nodes):
         out[row] = component
-    # int keys: a numpy-integer key would not serialise in `write_field`
-    return OperatorField(lattice=lattice, spec=spec, values=out,
-                         selector={int(k): v for k, v in selector.items()} if selector
-                         else None)
+    return OperatorField(lattice=lattice, spec=spec, values=out, selector=selector)
 
 
 def _magnitude_sq(lattice: TLattice, spec: gr.GridSpec, source, *args):
@@ -305,13 +307,10 @@ def _lookup_keys(data: dict, keys, source) -> list:
 
 def read_field(path) -> OperatorField:
     """Read a `write_field` file: magic, u32 manifest length, manifest,
-    node-major payload.  A missing or truncated file, as an interrupted
-    write leaves, raises BadShape."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise BadShape(f"{path} is missing: no field, or an interrupted write") from None
-    with fh:
+    node-major payload.  What is not a file name (`grid._file_path`), and
+    a missing or truncated file, as an interrupted write leaves, raise
+    BadShape."""
+    with open(gr._file_path(path, reading=True), "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         header = gr._read_exact(fh, end, 8, "header")
         if header[:4] != _FIELD_MAGIC:
@@ -331,7 +330,4 @@ def read_field(path) -> OperatorField:
         n, sizes, box_half = _lookup_keys(grid, ("n", "sizes", "box_half"), f"{source} grid")
         spec = gr.GridSpec(n=n, sizes=sizes, box_half=box_half)
         values = gr._read_payload(fh, end, (lattice.node_count, *spec.sizes))
-    if selector is not None:
-        _check_selector(selector, m)
-    return OperatorField(lattice=lattice, spec=spec, values=values,
-                         selector=selector)
+    return OperatorField(lattice=lattice, spec=spec, values=values, selector=selector)

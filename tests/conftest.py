@@ -87,3 +87,33 @@ def qhull_kernel(rays, y) -> float:
     n = rays.shape[1]
     polytope = np.vstack([np.zeros(n), rays / (rays @ y)[:, None]])
     return math.factorial(n) * ConvexHull(polytope).volume / (2 * np.pi) ** n
+
+
+def sum_rule_factors(spec, cone, lattice) -> list:
+    """Q_mu = (2 pi a_mu)^2 sum_k w_k exp(-4 pi a_mu t_k) per generator,
+    with a_mu = |e_mu . xi| on the grid's frequencies in FFT order and
+    (t_k, w_k) the lattice's axis values and weights.  4 Q_mu is the
+    lattice's t dt rule for the integral of 4 (2 pi a)^2 t exp(-4 pi a t),
+    which is 1 for every a > 0."""
+    freqs = [np.fft.ifftshift(x) for x in spec.freqs()]
+    factors = []
+    for g in cone.generators:
+        a = np.abs(sum(g_k * x for g_k, x in zip(g, freqs)))
+        factors.append((2 * np.pi * a) ** 2 * sum(
+            w * np.exp(-4 * np.pi * a * t) for t, w in zip(lattice.axis_values,
+                                                            lattice.axis_weights)))
+    return factors
+
+
+def sum_rule(f, cone, lattice) -> float:
+    """The sum over nodes of w h^n sum_x G for G the gradient magnitude
+    field of f, without building it: 2^m (h^n / N) sum_xi |fftn f|^2
+    prod_mu Q_mu(xi).  Both gradient factors of generator mu have modulus
+    2 pi a_mu, the sign cells are orthogonal over the 2^m choices, and
+    Parseval sums each node's squares on the grid (`poisson` module
+    docstring); any f and any lattice."""
+    spec = f.spec
+    weighted = np.abs(np.fft.fftn(f.values)) ** 2
+    for q in sum_rule_factors(spec, cone, lattice):
+        weighted *= q
+    return 2.0**cone.m * spec.h**spec.n / spec.npoints * float(weighted.sum())

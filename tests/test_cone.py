@@ -195,10 +195,19 @@ class TestDualRays:
             dual = cg.dual_rays(cone)
             assert np.all(dual.rays @ cone.generators.T >= -1e-9)
 
-    def test_dimension_cap(self):
+    def test_orthant_in_five_dimensions(self):
+        # rays come from the facet normals in every dimension: the orthant
+        # of R^5 is self-dual, one piece, with the separable kernel
         cone = cg.validate_cone(np.eye(5))
-        with pytest.raises(UnsupportedDimension):
-            cg.dual_rays(cone)
+        rays = cg.dual_rays(cone).rays
+        order = np.argmax(np.abs(rays), axis=1)
+        assert sorted(order) == list(range(5))
+        assert np.allclose(rays, np.eye(5)[order], atol=1e-12)
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-1.0, 1.0, size=(16, 5)) + 1j * rng.uniform(0.2, 1.0, size=(16, 5))
+        want = np.prod(1.0 / (-2j * np.pi * z), axis=-1)
+        got = cg.cauchy_szego(cone, z)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
     def test_octant(self):
         cone = cg.validate_cone(np.eye(3))
@@ -514,7 +523,15 @@ class TestCauchySzego:
         ) < 1e-14
 
 
-    @pytest.mark.parametrize("n, m, seed", [(3, 5, 5), (4, 5, 1), (4, 6, 3)])
+    def test_cone_not_pointed_refused(self):
+        # three generators that span the plane: the dual is {0}, no rays
+        cone = cg.validate_cone([[1.0, 0.0], [-0.6, 0.8], [-0.6, -0.8]])
+        assert cone.dual.rays.shape == (0, 2)
+        with pytest.raises(UnsupportedDimension, match="not full-dimensional: cone not pointed"):
+            cg.cauchy_szego(cone, np.array([0.1 + 1j, 1j]))
+
+    @pytest.mark.parametrize("n, m, seed", [(3, 5, 5), (4, 5, 1), (4, 6, 3), (5, 6, 2),
+                                            (5, 7, 4), (5, 7, 5)])
     def test_non_simplicial_dual_volume_oracle(self, n, m, seed):
         # test_cone_properties runs the same oracle on drawn cones
         cone, rng = draw_cone(seed, n, m)

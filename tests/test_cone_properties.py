@@ -110,6 +110,18 @@ def test_non_simplicial_dual_volume_oracle(cone, data):
 
 
 @PROPERTY
+@given(cone=cones(max_n=5, max_extra=3))
+def test_every_pulled_simplex_is_a_piece(cone):
+    # no piece of the pulling triangulation is flat, so the kernel sums
+    # every one, each with its own |det V| > 0
+    rays = cone.dual.rays
+    simplices, dets = cone.szego_pieces
+    assert simplices.tolist() == [list(s) for s in cg._pulled_simplices(rays, cone.generators)]
+    assert np.array_equal(dets, np.abs(np.linalg.det(rays[simplices])))
+    assert np.all(dets > 0)
+
+
+@PROPERTY
 @given(cone=cones())
 def test_dual_rays_satisfy_every_halfspace(cone):
     # an extreme ray of the dual lies in every halfspace e_j . v >= 0 and

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import struct
 
 import numpy as np
@@ -328,3 +330,47 @@ class TestIO:
         gr.write_tgf(tmp_path / "fresh.tgf", small)
         assert path.read_bytes() == (tmp_path / "fresh.tgf").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.tgf", "fresh.tgf"]
+
+    def test_missing_file_refused(self, tmp_path):
+        # used to raise a bare FileNotFoundError
+        with pytest.raises(BadShape, match=re.escape(f"{tmp_path / 'f.tgf'} is missing")):
+            gr.read_tgf(tmp_path / "f.tgf")
+
+    def test_missing_directory_refused(self, tmp_path, spec1d):
+        # used to raise a bare FileNotFoundError
+        with pytest.raises(BadShape, match=re.escape(f"{tmp_path / 'no'} is missing")):
+            gr.write_tgf(tmp_path / "no" / "f.tgf", random_grid(spec1d, 18))
+
+    def test_directory_refused(self, tmp_path, spec1d):
+        # each used to raise a bare IsADirectoryError
+        with pytest.raises(BadShape, match="is a directory, not a file"):
+            gr.read_tgf(tmp_path)
+        with pytest.raises(BadShape, match="is a directory, not a file"):
+            gr.write_tgf(tmp_path, random_grid(spec1d, 19))
+        assert tmp_path.is_dir()
+
+    def test_symlink_to_a_directory_replaced(self, tmp_path, spec1d):
+        # a write replaces a symlink, wherever it points
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f.tgf").symlink_to(tmp_path / "d")
+        f = random_grid(spec1d, 20)
+        gr.write_tgf(tmp_path / "f.tgf", f)
+        assert not (tmp_path / "f.tgf").is_symlink() and (tmp_path / "d").is_dir()
+        assert np.array_equal(gr.read_tgf(tmp_path / "f.tgf").values, f.values)
+
+    def test_descriptor_refused_and_left_open(self, spec1d):
+        # an int used to be opened as a file descriptor and closed: a
+        # pipe's read end raised a bare OSError, closed (the magic in the
+        # pipe keeps that read from blocking)
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"TGF2")
+        try:
+            with pytest.raises(BadShape, match="path must be a str, bytes or os.PathLike"):
+                gr.read_tgf(read_end)
+            with pytest.raises(BadShape, match="path must be a str, bytes or os.PathLike"):
+                gr.write_tgf(write_end, random_grid(spec1d, 21))
+            os.fstat(read_end)
+            os.fstat(write_end)
+        finally:
+            os.close(read_end)
+            os.close(write_end)

@@ -1,13 +1,16 @@
 import itertools
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
+from conftest import sum_rule, sum_rule_factors
 from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
+from tubeharm import spectral as sp
 from tubeharm.errors import BadShape, LengthMismatch, NonFiniteValues, OutOfMemoryBudget
 
 
@@ -398,6 +401,67 @@ class TestDecayBound:
         assert max(cs) < 10.0
 
 
+def weighted_field_sum(f, cone, lattice) -> float:
+    """The sum over nodes of w h^n sum_x G, G from gradient_magnitude_sq_field."""
+    values = po.gradient_magnitude_sq_field(f, cone, lattice).values
+    sums = values.reshape(len(values), -1).sum(axis=1)
+    return f.spec.h**f.spec.n * float(lattice.weights() @ sums)
+
+
+def complex_noise(spec, seed):
+    rng = np.random.default_rng(seed)
+    return gr.GridFunction(spec, rng.normal(size=spec.sizes) + 1j * rng.normal(size=spec.sizes))
+
+
+class TestSumRule:
+    SQUARE_CONE = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                            [0.0, -1.0, 1.0]]) / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("case", ["cone_b-bump", "cone_b-noise", "skew-bump",
+                                      "square-noise"])
+    def test_field_matches_the_sum_rule(self, request, case):
+        # conftest.sum_rule takes one FFT and no node loop; measured 0.56,
+        # 0, 0 and 1.19 ulp
+        if case.startswith("cone_b"):
+            cone, spec = request.getfixturevalue("cone_b"), gr.GridSpec(2, (128, 128), 8.0)
+            lattice = po.TLattice(m=3, t_min=2 * spec.h, levels=4)
+            f = (complex_noise(spec, 1) if case.endswith("noise") else
+                 sp.boundary_grid(sp.make_bump_psi(cone.dual, [0.8, 0.9], 0.4), spec))
+        elif case == "skew-bump":
+            cone, spec = request.getfixturevalue("skew_cone"), gr.GridSpec(2, (64, 64), 8.0)
+            lattice = po.TLattice(m=2, t_min=0.1, levels=8)
+            f = sp.boundary_grid(sp.make_bump_psi(cone.dual, [1.0, 0.2], 0.3), spec)
+        else:
+            cone, spec = cg.validate_cone(self.SQUARE_CONE), gr.GridSpec(3, (32,) * 3, 4.0)
+            lattice = po.TLattice(m=4, t_min=0.25, levels=2, ratio=2.0)
+            f = complex_noise(spec, 2)
+        want = sum_rule(f, cone, lattice)
+        assert abs(weighted_field_sum(f, cone, lattice) - want) <= 256 * np.finfo(float).eps * want
+
+    def test_continuous_gap_shrinks_with_the_lattice_range(self, cone_b):
+        # f's spectrum is a bump on the reciprocal lattice inside the dual
+        # cone, where every a_mu > 0: as the lattice covers more of t, the
+        # weighted sum tends to 2^-m (h^n / N) sum |fftn f|^2, and its
+        # relative gap is a mean of prod_mu 4 Q_mu - 1 over the spectrum
+        spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=4.0)
+        xi = np.meshgrid(*[np.fft.ifftshift(x) for x in spec.freqs()], indexing="ij")
+        rho2 = ((xi[0] - 0.8) ** 2 + (xi[1] - 0.9) ** 2) / 0.4**2
+        support = rho2 < 1.0
+        psi = np.zeros(spec.sizes)
+        psi[support] = np.exp(-1.0 / (1.0 - rho2[support]))
+        f = gr.GridFunction(spec, np.fft.ifftn(psi))
+        limit = 2.0**-cone_b.m * spec.h**2 / spec.npoints * np.sum(psi**2)
+        gaps = []
+        for t_min, levels in [(0.1, 4), (0.05, 6), (0.02, 10)]:
+            lattice = po.TLattice(m=3, t_min=t_min, levels=levels, ratio=2.0)
+            rule = np.prod([4 * q for q in sum_rule_factors(spec, cone_b, lattice)], axis=0)
+            error = rule[support] - 1.0
+            gaps.append(weighted_field_sum(f, cone_b, lattice) / limit - 1.0)
+            assert error.min() - 1e-12 <= gaps[-1] <= error.max() + 1e-12
+        # measured -0.50, -0.19 and -0.038
+        assert abs(gaps[2]) < abs(gaps[1]) < abs(gaps[0])
+
+
 class TestFieldIO:
     def test_round_trip(self, tmp_path, cone_b):
         spec = gr.GridSpec(n=2, sizes=(32, 32), box_half=8.0)
@@ -443,7 +507,9 @@ class TestFieldIO:
         spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
         lat = po.TLattice(m=3, t_min=0.5, levels=1)
         fld = po.OperatorField(lattice=lat, spec=spec, values=np.zeros((1, 16, 16)),
-                               selector={np.int64(0): po.X_CHOICE})
+                               selector=None)
+        # set past __post_init__, which would store the key as an int
+        fld.selector = {np.int64(0): po.X_CHOICE}
         with pytest.raises(TypeError, match="keys must be"):
             po.write_field(tmp_path / "field", fld)
         assert not (tmp_path / "field").exists()
@@ -584,6 +650,66 @@ class TestFieldIO:
         path.unlink()
         with pytest.raises(BadShape, match=re.escape(f"{path} is missing")):
             po.read_field(path)
+
+    def test_directory_refused(self, tmp_path, cone_b):
+        # a directory, such as a field in the layout of one file per node,
+        # used to raise a bare IsADirectoryError
+        fld = po.read_field(self._written(tmp_path, cone_b))
+        with pytest.raises(BadShape, match=re.escape(f"{tmp_path} is a directory, not a file")):
+            po.read_field(tmp_path)
+        with pytest.raises(BadShape, match=re.escape(f"{tmp_path} is a directory, not a file")):
+            po.write_field(tmp_path, fld)
+
+    @pytest.mark.parametrize("path", [None, ["field"], 2.0, True])
+    def test_not_a_path_refused(self, tmp_path, cone_b, path):
+        # None, a list and a float used to raise bare TypeErrors, and True
+        # was opened as fd 1 and closed it
+        fld = po.read_field(self._written(tmp_path, cone_b))
+        with pytest.raises(BadShape, match="path must be a str, bytes or os.PathLike"):
+            po.read_field(path)
+        with pytest.raises(BadShape, match="path must be a str, bytes or os.PathLike"):
+            po.write_field(path, fld)
+
+    def test_descriptor_refused_and_left_open(self, tmp_path, cone_b):
+        # a pipe's read end used to raise a bare OSError, closed
+        fld = po.read_field(self._written(tmp_path, cone_b))
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(BadShape, match="path must be a str, bytes or os.PathLike"):
+                po.read_field(read_end)
+            with pytest.raises(BadShape, match="path must be a str, bytes or os.PathLike"):
+                po.write_field(write_end, fld)
+            os.fstat(read_end)
+            os.fstat(write_end)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    @pytest.mark.parametrize("selector, message", [
+        ({7: "Q"}, r"selector key 7 is not a generator index in range\(3\)"),
+        ({0: "Q"}, "unknown gradient choice 'Q'"),
+    ])
+    def test_field_selector_checked(self, selector, message):
+        # {7: "Q"} used to be accepted, and written to a file that
+        # read_field refused
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        with pytest.raises(BadShape, match=message):
+            po.OperatorField(lattice=po.TLattice(m=3, t_min=0.5, levels=1), spec=spec,
+                             values=np.zeros((1, 16, 16)), selector=selector)
+
+    @pytest.mark.parametrize("selector, stored", [
+        ({np.int64(0): po.X_CHOICE}, {0: po.X_CHOICE}),
+        ({}, None),
+    ])
+    def test_field_selector_stored(self, tmp_path, selector, stored):
+        # {np.int64(0): "X"} used to make write_field raise json's bare
+        # TypeError
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        fld = po.OperatorField(lattice=po.TLattice(m=3, t_min=0.5, levels=1), spec=spec,
+                               values=np.zeros((1, 16, 16)), selector=selector)
+        assert fld.selector == stored and all(type(k) is int for k in fld.selector or {})
+        po.write_field(tmp_path / "field", fld)
+        assert po.read_field(tmp_path / "field").selector == stored
 
     def test_every_proper_prefix_refused(self, tmp_path, cone_b):
         # an interrupted write leaves a prefix of the file: cuts in the

@@ -19,6 +19,7 @@ CONE = cg.validate_cone([[1.0, 0.0], [0.0, 1.0], [SQ2 / 2, SQ2 / 2]])
 SPEC = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
 F = gr.GridFunction(SPEC, np.ones(SPEC.sizes))
 LATTICE = po.TLattice(m=3, t_min=0.5, levels=1)
+FIELD = po.OperatorField(lattice=LATTICE, spec=SPEC, values=np.zeros((1, 16, 16)), selector=None)
 # two nodes 0.05 apart: the 16^2 grid lies well inside the revival radius
 STF = sp.SpectralTestFunction(nodes=[[1.0, 1.0], [1.05, 1.05]], weights=[1.0, 1.0],
                               psi_vals=[1.0, 1.0])
@@ -72,7 +73,13 @@ SLOTS = {
     "TLattice(t_min)": lambda v: po.TLattice(m=3, t_min=v, levels=2),
     "TLattice(levels)": lambda v: po.TLattice(m=3, t_min=0.5, levels=v),
     "TLattice(ratio)": lambda v: po.TLattice(m=3, t_min=0.5, levels=2, ratio=v),
+    "read_tgf(path)": gr.read_tgf,
+    "write_tgf(path)": lambda v: gr.write_tgf(v, F),
     "build_field(selector)": lambda v: po.build_field(F, CONE, LATTICE, selector=v),
+    "OperatorField(selector)":
+        lambda v: po.OperatorField(lattice=LATTICE, spec=SPEC, values=FIELD.values, selector=v),
+    "read_field(path)": po.read_field,
+    "write_field(path)": lambda v: po.write_field(v, FIELD),
     "SpectralTestFunction(nodes)": lambda v: _stf(nodes=v),
     "SpectralTestFunction(weights)": lambda v: _stf(weights=v),
     "SpectralTestFunction(psi_vals)": lambda v: _stf(psi_vals=v),
@@ -92,6 +99,8 @@ VALID = {
     ("TLattice(ratio)", "float"),
     ("build_field(selector)", "none"),
     ("build_field(selector)", "empty-dict"),
+    ("OperatorField(selector)", "none"),
+    ("OperatorField(selector)", "empty-dict"),
     ("SpectralTestFunction(psi_vals)", "complex"),
     ("make_bump_psi(radius)", "float"),
     ("eval_f(z)", "complex"),
