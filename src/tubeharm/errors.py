@@ -90,17 +90,19 @@ def require_real(name, value, low):
 
 
 def numeric(name, value, dtype, shape):
-    """`value` as an array of `dtype`, float or complex.  BadShape for a
-    ragged sequence and for bool, string, object or (for a float dtype)
-    complex values; LengthMismatch unless the shape is `shape`, where a
-    leading ... stands for any leading axes and None for any shape."""
+    """`value` as an array of `dtype`, float or complex, or for `dtype`
+    None of float64 if real and complex128 if not.  BadShape for a ragged
+    sequence and for bool, string, object or (for a float dtype) complex
+    values; LengthMismatch unless the shape is `shape`, where a leading
+    ... stands for any leading axes and None for any shape."""
     try:
         array = np.asarray(value)
+        dtype = dtype or (np.float64 if array.dtype.kind in "iuf" else np.complex128)
         kind_ok = array.dtype.kind != "b" and np.can_cast(array.dtype, dtype, "same_kind")
     except ValueError:  # a ragged sequence
         kind_ok = False
     if not kind_ok:
-        raise BadShape(f"{name} must be an array of {np.dtype(dtype)}, "
+        raise BadShape(f"{name} must be an array of {np.dtype(dtype or complex)}, "
                        f"got {reprlib.repr(value)}")
     if not (shape is None or array.shape == shape or shape[:1] == (...,)
             and array.shape[max(array.ndim + 1 - len(shape), 0):] == shape[1:]):

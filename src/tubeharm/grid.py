@@ -18,24 +18,28 @@ real arithmetic,
 with S M = `np.fft.ifftshift(M)`, the symbol in FFT order.
 
 One type, `GridFunction`, holds grid samples and, from `fourier_forward`
-only, values on the reciprocal lattice; a TGF2 file stores one.  A field
-file (`poisson.write_field`) shares its payload layout, values row-major
-as little-endian (re, im) f64 pairs, which only `_replace_file` and
-`_read_payload` know.  Files are written by `_replace_file`, which
-replaces an existing file instead of truncating it: ext4's auto_da_alloc
-(on by default) starts writeback of a file truncated and rewritten when
-it is closed, so rewriting a file in place sends every rewrite to the
-device, while the pages of an unlinked file that were never written back
-are dropped.
+only, values on the reciprocal lattice.  Grid functions (`write_tgf`)
+and fields (`poisson.write_field`) share one file container, which only
+`_replace_file` and `_read_file` know: a 4-byte magic, the u32
+little-endian length of a JSON manifest, the manifest, and the values in
+C order as (re, im) f64 pairs, `<c16`, or for real values as `<f8`, the
+manifest's "dtype"; values read back in that dtype.  An interrupted
+write leaves no file or a prefix of one, which `_read_file` refuses as a
+truncated header, manifest or payload.  `_replace_file` replaces an
+existing file instead of truncating it: ext4's auto_da_alloc (on by
+default) starts writeback of a file truncated and rewritten when it is
+closed, so rewriting a file in place sends every rewrite to the device,
+while the pages of an unlinked file that were never written back are
+dropped.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -130,23 +134,16 @@ def lp_norm(f: GridFunction, p) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Binary files: the TGF2 container and the payload layout
+# Binary files: the one container (module docstring)
 
-_MAGIC = b"TGF2"
-_PAYLOAD = "<c16"  # little-endian (re, im) f64 pairs
+_MAGIC = b"TGF3"
+_LAYOUTS = {False: "<c16", True: "<f8"}  # by np.isrealobj(values)
 
 
 def _check_read(size: int, got: int, what: str) -> None:
     """Refuse `what` when only `got` of its `size` bytes are there."""
     if size > got:
         raise BadShape(f"truncated {what}: expected {size} bytes, got {got}")
-
-
-def _read_exact(fh, end: int, size: int, what: str) -> bytes:
-    """`size` bytes of `fh`, refused before the read when the file, `end`
-    bytes long, has fewer left: a header may claim a payload of any size."""
-    _check_read(size, end - fh.tell(), what)
-    return fh.read(size)
 
 
 def _file_path(path, reading: bool):
@@ -166,54 +163,84 @@ def _file_path(path, reading: bool):
     return path
 
 
-def _replace_file(path, *buffers) -> None:
-    """Write `buffers` to a new file at `path`: bytes as they are, and
-    arrays of complex values in the payload layout.
+def _lookup(data, keys, source) -> list:
+    """The values of `keys` in the JSON object `data` read from `source`;
+    BadShape names a `data` that is not an object, or its first key missing."""
+    if not isinstance(data, dict):
+        raise BadShape(f"{source} must be a JSON object, got {data!r}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise BadShape(f"{source} has no key {missing[0]!r}")
+    return [data[key] for key in keys]
 
-    An existing file is unlinked first, not truncated (module docstring);
-    a reader that has it open keeps the old, complete contents, and a
+
+def _load(cls, data, source):
+    """A `cls`, GridSpec or poisson.TLattice, from one key of `data` per
+    dataclass field (`_lookup`)."""
+    return cls(*_lookup(data, [field.name for field in fields(cls)], source))
+
+
+def _replace_file(path, magic: bytes, manifest: dict, values: np.ndarray) -> None:
+    """Replace the file `path` by a container of `magic`, `manifest` and
+    `values` (module docstring), serialising the manifest first.  A
+    reader that has the old file open keeps its complete contents, and a
     symlink at `path` is replaced, not followed."""
+    layout = _LAYOUTS[np.isrealobj(values)]
+    header = json.dumps({**manifest, "dtype": layout}, indent=2).encode()
     _file_path(path, reading=False)
     # os.unlink, not pathlib: a Path per rewrite raised by 1.4 MiB the
     # peak RSS of a process that rewrote 27 files 800 times each
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
     with open(path, "wb") as fh:
-        for buf in buffers:
-            fh.write(buf if isinstance(buf, bytes) else np.ascontiguousarray(buf, _PAYLOAD))
+        fh.write(magic + len(header).to_bytes(4, "little") + header)
+        fh.write(np.ascontiguousarray(values, layout))
 
 
-def _read_payload(fh, end: int, shape) -> np.ndarray:
-    """The rest of `fh`, `end` bytes long, as values of `shape`, counted
-    before any allocation."""
-    size, left = 16 * math.prod(shape), end - fh.tell()
-    _check_read(size, left, "payload")
-    if left > size:
-        raise BadShape(f"{left - size} trailing bytes after the payload")
-    values = np.empty(shape, dtype=_PAYLOAD)
-    _check_read(size, fh.readinto(values), "payload")
-    return values
+@contextlib.contextmanager
+def _read_file(path, magic: bytes):
+    """Open the `_replace_file` file at `path`; yield its manifest, a
+    JSON object, and `payload(shape)`, which reads the rest as values of
+    `shape` and the recorded dtype.  Each size is checked against the
+    file before the read or the allocation."""
+    with open(_file_path(path, reading=True), "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        header = fh.read(8)
+        _check_read(8, len(header), "header")
+        if header[:4] != magic:
+            raise BadShape(f"{path} is not a {magic.decode()} file: magic {header[:4]!r}")
+        length, source = int.from_bytes(header[4:], "little"), f"{path} manifest"
+        _check_read(length, end - 8, "manifest")  # a header may claim any length
+        try:  # JSON keys are strings: a selector's decimal keys are read as int
+            manifest = json.loads(fh.read(length), object_pairs_hook=lambda pairs: {
+                int(k) if k.isdecimal() else k: v for k, v in pairs})
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise BadShape(f"{source} is not JSON: {exc}") from None
+        (layout,) = _lookup(manifest, ["dtype"], source)
+        if layout not in _LAYOUTS.values():
+            raise BadShape(f"{source} dtype must be one of {[*_LAYOUTS.values()]}, "
+                           f"got {layout!r}")
+
+        def payload(shape) -> np.ndarray:
+            size, left = np.dtype(layout).itemsize * math.prod(shape), end - fh.tell()
+            _check_read(size, left, "payload")
+            if left > size:
+                raise BadShape(f"{left - size} trailing bytes after the payload")
+            values = np.empty(shape, dtype=layout)
+            _check_read(size, fh.readinto(values), "payload")
+            return values
+        yield manifest, payload
 
 
 def write_tgf(path, f: GridFunction) -> None:
-    """Scalar grid container: magic, u32 n, n u32 sizes, one f64
-    box_half, then the values in the payload layout.  A file at `path`
-    is replaced, not rewritten in place."""
-    spec = f.spec
-    header = _MAGIC + struct.pack(f"<I{spec.n}Id", spec.n, *spec.sizes, spec.box_half)
-    _replace_file(path, header, f.values)
+    """Replace the file `path` by one grid function: the container with
+    magic TGF3 and the manifest {"grid": f.spec}."""
+    _replace_file(path, _MAGIC, {"grid": asdict(f.spec)}, f.values)
 
 
 def read_tgf(path) -> GridFunction:
-    """Read a `write_tgf` file; bytes past the payload are refused."""
-    with open(_file_path(path, reading=True), "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-        found = fh.read(4)
-        if found != _MAGIC:
-            raise BadShape(f"not a {_MAGIC.decode()} file: magic {found!r}")
-        (n,) = struct.unpack("<I", _read_exact(fh, end, 4, "header"))
-        fmt = f"<{n}Id"
-        *sizes, box_half = struct.unpack(fmt, _read_exact(fh, end, struct.calcsize(fmt),
-                                                          "header"))
-        spec = GridSpec(n=n, sizes=sizes, box_half=box_half)
-        return GridFunction(spec, _read_payload(fh, end, spec.sizes))
+    """Read a `write_tgf` file; what `_read_file` refuses raises BadShape."""
+    with _read_file(path, _MAGIC) as (manifest, payload):
+        spec = _load(GridSpec, *_lookup(manifest, ["grid"], f"{path} manifest"),
+                     f"{path} manifest grid")
+        return GridFunction(spec, payload(spec.sizes))

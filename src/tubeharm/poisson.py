@@ -32,16 +32,14 @@ for the axes and the diagonal of the plane).
 from __future__ import annotations
 
 import itertools
-import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import grid as gr
 from .cone import PolyhedralCone
-from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, require_finite, require_int,
-                     require_real)
+from .errors import (BadShape, LengthMismatch, OutOfMemoryBudget, numeric, require_finite,
+                     require_int, require_real)
 
 DEFAULT_RATIO = float(np.sqrt(2.0))
 MAX_NODES = 4096
@@ -145,13 +143,12 @@ class OperatorField:
 
     lattice: TLattice
     spec: gr.GridSpec
-    values: np.ndarray  # (node_count, *sizes)
+    values: np.ndarray  # (node_count, *sizes), float64 if real, else complex128
     selector: dict | None
 
     def __post_init__(self):
-        expect = (self.lattice.node_count, *self.spec.sizes)
-        if self.values.shape != expect:
-            raise BadShape(f"field shape {self.values.shape} != {expect}")
+        self.values = numeric("values", self.values, None,
+                              (self.lattice.node_count, *self.spec.sizes))
         if self.selector is not None:
             _check_selector(self.selector, self.lattice.m)
             # int keys: a numpy-integer key would not serialise in `write_field`
@@ -275,59 +272,29 @@ def gradient_magnitude_sq_field(f: gr.GridFunction, cone: PolyhedralCone,
 
 
 # ---------------------------------------------------------------------------
-# Field persistence: one file holding a 4-byte magic, the u32 length of a
-# JSON manifest (lattice, grid, selector), the manifest, and every node's
-# values node-major in `grid`'s payload layout.  `grid._replace_file`
-# writes it, so an interrupted write leaves no file or a truncated one.
+# Field persistence: a `grid` container file whose flat manifest holds the
+# lattice's fields, the selector and the grid, and whose payload is every
+# node's values node-major, complex128 or, from the magnitude reducers,
+# float64.  `grid._replace_file` writes it, so an interrupted write leaves
+# no file or a truncated one, which `grid._read_file` refuses.
 
 _FIELD_MAGIC = b"TFLD"
 
 
 def write_field(path, fld: OperatorField) -> None:
-    """Replace the file `path` by `fld`: magic, u32 manifest length, the
-    JSON manifest (serialised first), values node-major in the payload
-    layout.  An interrupted write leaves no file or a truncated one."""
-    manifest = json.dumps({**asdict(fld.lattice), "selector": fld.selector,
-                           "grid": asdict(fld.spec)}, indent=2).encode()
-    gr._replace_file(path, _FIELD_MAGIC + len(manifest).to_bytes(4, "little") + manifest,
-                     fld.values)
-
-
-def _lookup_keys(data: dict, keys, source) -> list:
-    """The values of `keys` in `data`, which was read from `source`;
-    BadShape unless `data` is a JSON object, and names the first key
-    missing."""
-    if not isinstance(data, dict):
-        raise BadShape(f"{source} must be a JSON object, got {data!r}")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise BadShape(f"{source} has no key {missing[0]!r}")
-    return [data[key] for key in keys]
+    """Replace the file `path` by `fld`, its values in their own dtype."""
+    gr._replace_file(path, _FIELD_MAGIC, {**asdict(fld.lattice), "selector": fld.selector,
+                                          "grid": asdict(fld.spec)}, fld.values)
 
 
 def read_field(path) -> OperatorField:
-    """Read a `write_field` file: magic, u32 manifest length, manifest,
-    node-major payload.  What is not a file name (`grid._file_path`), and
-    a missing or truncated file, as an interrupted write leaves, raise
-    BadShape."""
-    with open(gr._file_path(path, reading=True), "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-        header = gr._read_exact(fh, end, 8, "header")
-        if header[:4] != _FIELD_MAGIC:
-            raise BadShape(f"{path} is not a field file: magic {header[:4]!r}")
-        length = int.from_bytes(header[4:], "little")
-        source = f"{path} manifest"
-        try:
-            # JSON keys are strings: the selector's decimal keys are read as int
-            manifest = json.loads(gr._read_exact(fh, end, length, "manifest"),
-                                  object_pairs_hook=lambda pairs: {
-                                      int(k) if k.isdecimal() else k: v for k, v in pairs})
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise BadShape(f"{source} is not JSON: {exc}") from None
-        m, t_min, ratio, levels, selector, grid = _lookup_keys(
-            manifest, ("m", "t_min", "ratio", "levels", "selector", "grid"), source)
-        lattice = TLattice(m=m, t_min=t_min, ratio=ratio, levels=levels)
-        n, sizes, box_half = _lookup_keys(grid, ("n", "sizes", "box_half"), f"{source} grid")
-        spec = gr.GridSpec(n=n, sizes=sizes, box_half=box_half)
-        values = gr._read_payload(fh, end, (lattice.node_count, *spec.sizes))
+    """Read a `write_field` file, values in the dtype they were written
+    in.  What is not a file name (`grid._file_path`), and a file that
+    `grid._read_file` or a manifest key refuses, raise BadShape."""
+    source = f"{path} manifest"
+    with gr._read_file(path, _FIELD_MAGIC) as (manifest, payload):
+        lattice = gr._load(TLattice, manifest, source)
+        selector, grid = gr._lookup(manifest, ["selector", "grid"], source)
+        spec = gr._load(gr.GridSpec, grid, f"{source} grid")
+        values = payload((lattice.node_count, *spec.sizes))
     return OperatorField(lattice=lattice, spec=spec, values=values, selector=selector)

@@ -1,5 +1,6 @@
-"""Property tests over random valid cones: the cone layer, and the
-sign-cell identity behind the Poisson gradient magnitude."""
+"""Property tests over random valid cones: the cone layer, the zonotope
+volume against Monte Carlo, and the sign-cell identity behind the
+Poisson gradient magnitude."""
 
 import itertools
 import math
@@ -9,14 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import largest_subset, parallelohedron_contains, qhull_kernel
+from conftest import PROPERTY, largest_subset, parallelohedron_contains, qhull_kernel
 from tubeharm import cone as cg
 from tubeharm import grid as gr
 from tubeharm import poisson as po
 from tubeharm.errors import DegenerateSubset
-
-# derandomized, so tier-1 runs the same examples every time
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -142,6 +140,24 @@ def test_parallelohedron_inside_zonotope(cone, data):
     xp = (frac * t[list(subset)]) @ cone.generators[list(subset)]
     inside = [parallelohedron_contains(cone, subset, np.zeros(cone.n), t, p) for p in xp]
     assert np.all(cg.rect_contains_many(cone, t, xp)[inside])
+
+
+@PROPERTY
+@given(cone=cones(max_n=3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_zonotope_volume_matches_monte_carlo(cone, data, seed):
+    # rejection sampling in the bounding box of R(0, t), rect_contains_many
+    # the membership oracle, sigma the estimator's standard deviation at
+    # the exact volume.  The bound is 5 sigma: over 60 examples 3 sigma
+    # fails by chance with probability 1 - 0.9973^60 = 15%, 5 sigma 3e-5
+    t = data.draw(arrays(float, cone.m, elements=st.floats(0.25, 4.0)))
+    half = np.abs(cone.generators.T) @ t
+    nsamp = 100_000
+    pts = np.random.default_rng(seed).uniform(-half, half, size=(nsamp, cone.n))
+    box = float(np.prod(2 * half))
+    exact = cg.zonotope_volume(cone, t)
+    estimate = box * cg.rect_contains_many(cone, t, pts).mean()
+    sigma = box * math.sqrt(exact / box * (1 - exact / box) / nsamp)
+    assert abs(estimate - exact) <= 5 * sigma
 
 
 @settings(PROPERTY, max_examples=20)

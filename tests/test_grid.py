@@ -1,11 +1,14 @@
+import json
 import math
 import os
 import re
-import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import PROPERTY
 from tubeharm import grid as gr
 from tubeharm.errors import BadShape, NonFiniteValues
 
@@ -181,6 +184,17 @@ class TestNorms:
         bound = (16 + math.log2(f.spec.npoints)) * np.finfo(float).eps
         assert abs(gr.lp_norm(f, p) - want) <= bound * want
 
+    @PROPERTY
+    @given(n=st.integers(1, 3), data=st.data(), p=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_fsum_on_random_grids(self, n, data, p, seed):
+        # test_matches_fsum's bound on grids of 16^n to 2^18 points
+        size = 2 ** data.draw(st.integers(4, 18 // n))
+        f = self._wide_range((size,) * n, seed)
+        want = math.fsum(np.abs(f.values).ravel() ** p) ** (1.0 / p)
+        bound = (16 + math.log2(f.spec.npoints)) * np.finfo(float).eps
+        assert abs(gr.lp_norm(f, p) - want) <= bound * want
+
 
 def directional_fd_stencil(f: gr.GridFunction, v, order: int = 1) -> np.ndarray:
     """Finite-difference oracle for derivatives along v: central
@@ -246,16 +260,21 @@ class TestIO:
         assert np.array_equal(back.values, f.values)
         assert back.values.flags.writeable
 
+    @staticmethod
+    def _manifest(raw: bytes) -> bytes:
+        """The manifest bytes of the container file `raw`."""
+        return raw[8:8 + int.from_bytes(raw[4:8], "little")]
+
     def test_tgf_header_layout(self, tmp_path, spec1d):
         f = gr.GridFunction(spec1d, np.zeros(spec1d.sizes))
         path = tmp_path / "g.tgf"
         gr.write_tgf(path, f)
         raw = path.read_bytes()
-        assert raw[:4] == b"TGF2"
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert int.from_bytes(raw[8:12], "little") == 256
-        assert np.frombuffer(raw[12:20], dtype="<f8")[0] == spec1d.box_half
-        assert len(raw) == 20 + 16 * 256
+        manifest = self._manifest(raw)
+        assert raw[:4] == b"TGF3"
+        assert json.loads(manifest) == {"grid": {"n": 1, "sizes": [256], "box_half": 16.0},
+                                        "dtype": "<c16"}
+        assert len(raw) == 8 + len(manifest) + 16 * 256
 
     def test_tgf_box_half_stored_once(self, tmp_path):
         # TGF1 wrote one box_half per axis and read back only the first
@@ -263,8 +282,10 @@ class TestIO:
         path = tmp_path / "f.tgf"
         gr.write_tgf(path, gr.GridFunction(spec, np.zeros(spec.sizes)))
         raw = path.read_bytes()
-        assert np.frombuffer(raw[16:24], dtype="<f8")[0] == 4.0
-        assert len(raw) == 24 + 16 * spec.npoints
+        manifest = self._manifest(raw)
+        assert manifest.count(b"box_half") == 1
+        assert json.loads(manifest)["grid"]["box_half"] == 4.0
+        assert len(raw) == 8 + len(manifest) + 16 * spec.npoints
 
     def test_payload_is_interleaved_f64_pairs(self, tmp_path, spec1d):
         f = random_grid(spec1d, 10)
@@ -278,7 +299,16 @@ class TestIO:
         path = tmp_path / "f.tgf"
         gr.write_tgf(path, random_grid(spec1d, 13))
         path.write_bytes(b"TGFH" + path.read_bytes()[4:])
-        with pytest.raises(BadShape, match="not a TGF2 file: magic b'TGFH'"):
+        with pytest.raises(BadShape, match="not a TGF3 file: magic b'TGFH'"):
+            gr.read_tgf(path)
+
+    def test_tgf2_file_refused(self, tmp_path):
+        # the struct header of the former container: u32 n, n u32 sizes,
+        # f64 box_half, then the <c16 payload
+        path = tmp_path / "f.tgf"
+        header = b"".join(v.to_bytes(4, "little") for v in (1, 16)) + np.float64(4.0).tobytes()
+        path.write_bytes(b"TGF2" + header + bytes(16 * 16))
+        with pytest.raises(BadShape, match="not a TGF3 file: magic b'TGF2'"):
             gr.read_tgf(path)
 
     def test_truncated_payload(self, tmp_path, spec1d):
@@ -292,12 +322,14 @@ class TestIO:
 
     @pytest.mark.parametrize("sizes", [(2**31, 2**31), (2**16, 2**16), (2**31,) * 3])
     def test_payload_past_the_file_refused(self, tmp_path, sizes):
-        # a header is refused before its payload is read: (2^31, 2^31) used
-        # to raise OverflowError, (2^16, 2^16) MemoryError, and (2^31,) * 3
-        # wrapped to an empty payload in int64
+        # a manifest is refused before its payload is allocated: in the
+        # former struct header (2^31, 2^31) raised OverflowError, (2^16,
+        # 2^16) MemoryError, and (2^31,) * 3 wrapped to an empty payload
+        # in int64
         path = tmp_path / "f.tgf"
-        header = struct.pack(f"<I{len(sizes)}Id", len(sizes), *sizes, 8.0)
-        path.write_bytes(b"TGF2" + header + bytes(48))
+        manifest = json.dumps({"grid": {"n": len(sizes), "sizes": sizes, "box_half": 8.0},
+                               "dtype": "<c16"}).encode()
+        path.write_bytes(b"TGF3" + len(manifest).to_bytes(4, "little") + manifest + bytes(48))
         message = f"truncated payload: expected {16 * math.prod(sizes)} bytes, got 48$"
         with pytest.raises(BadShape, match=message):
             gr.read_tgf(path)

@@ -4,8 +4,9 @@ exact list of settable values (defaulted parameters and dataclass
 fields), input checks only in `errors`, one enumeration of each size of
 generator subset, one node loop for the Poisson symbol, fields built only
 by its sources and reducers, files written only by one replace helper,
-one owner of the payload's byte layout, no console script that does not
-import, and no import of scipy or numpy.ma on any path."""
+one owner of the file container (values' byte layouts, JSON manifest and
+u32 framing), no console script that does not import, and no import of
+scipy or numpy.ma on any path."""
 
 import ast
 import importlib
@@ -64,8 +65,8 @@ def test_public_functions_have_a_non_test_caller():
     # than the def itself counts as a caller.  The functions listed have
     # none and are kept on purpose, and the benchmark traces each by name
     # (a string): the centred transforms are the tests' reference for the
-    # node loop, and write_tgf/read_tgf the one-grid container, whose
-    # payload layout a field file shares
+    # node loop, and write_tgf/read_tgf store one grid function in the
+    # container that field files use
     defined = set()
     referenced = set()
     for path in [*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")]:
@@ -204,10 +205,12 @@ def test_files_are_written_only_by_the_replace_helper():
 
 
 def test_payload_layout_has_one_owner():
-    # the bytes of a stored value are grid's decision: TGF2 and field
-    # files both write and read them through grid's helpers
-    owners = {path.stem for path in PACKAGE_DIR.glob("*.py") if "<c16" in path.read_text()}
-    assert owners == {"grid"}
+    # the container, its JSON manifest, its u32 framing and the bytes of
+    # a stored value are grid's decision: grid-function and field files
+    # are written by grid._replace_file and read by grid._read_file
+    for token in ("<c16", "<f8", "json.dumps", "json.loads", "to_bytes", "from_bytes"):
+        owners = {path.stem for path in PACKAGE_DIR.glob("*.py") if token in path.read_text()}
+        assert owners == {"grid"}, token
 
 
 def test_console_scripts_import():

@@ -477,6 +477,32 @@ class TestFieldIO:
         assert np.array_equal(back.values, fld.values)
         assert (tmp_path / "field").is_file()
 
+    @pytest.mark.parametrize("build, dtype", [
+        (lambda f, stf, c, lat: po.build_field(f, c, lat), np.complex128),
+        (lambda f, stf, c, lat: po.build_field(f, c, lat, selector={0: po.X_CHOICE,
+                                                                    2: po.T_CHOICE}),
+         np.complex128),
+        (lambda f, stf, c, lat: sp.lift_field(stf, c, lat, f.spec), np.complex128),
+        (lambda f, stf, c, lat: po.gradient_magnitude_sq_field(f, c, lat), np.float64),
+        (lambda f, stf, c, lat: sp.gradient_magnitude_sq_lift(stf, c, lat, f.spec), np.float64),
+    ], ids=["build", "build-selector", "lift", "magnitude", "magnitude-lift"])
+    def test_round_trip_keeps_the_dtype(self, tmp_path, cone_b, build, dtype):
+        # a float64 magnitude field used to be stored as <c16, 16 bytes a
+        # value, and read back as complex128
+        spec = gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0)
+        stf = sp.make_bump_psi(cone_b.dual, [1.0, 1.0], 0.4, nodes_per_axis=8)
+        fld = build(sp.boundary_grid(stf, spec), stf, cone_b,
+                    po.TLattice(m=3, t_min=0.5, levels=2))
+        path = tmp_path / "field"
+        po.write_field(path, fld)
+        back = po.read_field(path)
+        assert fld.values.dtype == back.values.dtype == dtype
+        assert np.array_equal(back.values, fld.values)
+        assert (back.lattice, back.spec, back.selector) == (fld.lattice, fld.spec, fld.selector)
+        raw = path.read_bytes()
+        start = 8 + int.from_bytes(raw[4:8], "little")
+        assert len(raw) == start + np.dtype(dtype).itemsize * fld.values.size
+
     @pytest.mark.parametrize("lattice, sizes", [
         ({"m": np.int64(3), "t_min": 0.5}, (16, 16)),
         ({"m": 3, "t_min": np.float32(0.5)}, (16, 16)),
@@ -568,7 +594,7 @@ class TestFieldIO:
             assert fh.read() == old
         assert np.array_equal(po.read_field(path).values, fld.values)
 
-    @pytest.mark.parametrize("key", ["selector", "grid.box_half"])
+    @pytest.mark.parametrize("key", ["selector", "grid.box_half", "dtype"])
     def test_missing_key_rejected(self, tmp_path, cone_b, key):
         # a manifest without "selector" used to raise a bare KeyError
         path = self._written(tmp_path, cone_b)
@@ -609,6 +635,8 @@ class TestFieldIO:
         ("grid.box_half", "8", "box_half must be a real number, got '8'"),
         ("grid", [2, 32], r"grid must be a JSON object, got \[2, 32\]"),
         ("selector", ["X"], r"selector must be a JSON object or null, got \['X'\]"),
+        ("dtype", "<f4", r"dtype must be one of \['<c16', '<f8'\], got '<f4'"),
+        ("dtype", "|O", r"dtype must be one of \['<c16', '<f8'\], got '\|O'"),
     ])
     def test_wrong_type_refused(self, tmp_path, cone_b, key, value, message):
         # each of these used to reach a bare TypeError, and a selector
@@ -711,6 +739,25 @@ class TestFieldIO:
         po.write_field(tmp_path / "field", fld)
         assert po.read_field(tmp_path / "field").selector == stored
 
+    @pytest.mark.parametrize("values, dtype", [
+        (np.zeros((1, 16, 16), dtype=int).tolist(), np.float64),
+        (np.zeros((1, 16, 16), dtype=np.float32), np.float64),
+        (np.zeros((1, 16, 16), dtype=np.complex64), np.complex128),
+    ], ids=["int-list", "float32", "complex64"])
+    def test_field_values_stored(self, values, dtype):
+        # a nested list used to raise a bare AttributeError
+        fld = po.OperatorField(lattice=po.TLattice(m=3, t_min=0.5, levels=1),
+                               spec=gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0),
+                               values=values, selector=None)
+        assert fld.values.dtype == dtype and fld.values.shape == (1, 16, 16)
+
+    def test_object_values_refused(self):
+        # an object array of the right shape used to be accepted and written
+        with pytest.raises(BadShape, match="values must be an array of complex128"):
+            po.OperatorField(lattice=po.TLattice(m=3, t_min=0.5, levels=1),
+                             spec=gr.GridSpec(n=2, sizes=(16, 16), box_half=4.0),
+                             values=np.zeros((1, 16, 16), dtype=object), selector=None)
+
     def test_every_proper_prefix_refused(self, tmp_path, cone_b):
         # an interrupted write leaves a prefix of the file: cuts in the
         # magic and the length read as a short header
@@ -737,7 +784,7 @@ class TestFieldIO:
     def test_wrong_magic_refused(self, tmp_path, cone_b):
         path = self._written(tmp_path, cone_b)
         path.write_bytes(b"TGF2" + path.read_bytes()[4:])
-        with pytest.raises(BadShape, match="is not a field file: magic b'TGF2'"):
+        with pytest.raises(BadShape, match="is not a TFLD file: magic b'TGF2'"):
             po.read_field(path)
 
     def test_manifest_past_the_file_refused(self, tmp_path, cone_b):

@@ -76,6 +76,8 @@ SLOTS = {
     "read_tgf(path)": gr.read_tgf,
     "write_tgf(path)": lambda v: gr.write_tgf(v, F),
     "build_field(selector)": lambda v: po.build_field(F, CONE, LATTICE, selector=v),
+    "OperatorField(values)":
+        lambda v: po.OperatorField(lattice=LATTICE, spec=SPEC, values=v, selector=None),
     "OperatorField(selector)":
         lambda v: po.OperatorField(lattice=LATTICE, spec=SPEC, values=FIELD.values, selector=v),
     "read_field(path)": po.read_field,
